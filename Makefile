@@ -6,18 +6,19 @@
 
 GO ?= go
 
-# Bench noise floor. The regression-gated family (the engine benches) runs
-# time-based with -count=5 under an explicit GOMAXPROCS, and the compare
-# gate takes the per-metric best of the five runs — one preempted run on a
-# shared runner cannot fail the gate. BENCH_TOLERANCE absorbs what remains
-# (runner-to-runner CPU variance); allocation metrics are machine-
-# independent, so real regressions still surface well inside it.
+# Bench noise floor. The regression-gated family (the engine, table-open
+# and smart-star synthesis benches) runs time-based with -count=5 under an
+# explicit GOMAXPROCS, and the compare gate takes the per-metric best of
+# the five runs — one preempted run on a shared runner cannot fail the
+# gate. BENCH_TOLERANCE absorbs what remains (runner-to-runner CPU
+# variance); allocation metrics are machine-independent, so real
+# regressions still surface well inside it.
 BENCH_GOMAXPROCS ?= 1
-BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen)
+BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen|BenchmarkSmartSynthesis)
 BENCH_GATED_TIME ?= 400ms
 BENCH_TOLERANCE  ?= 60
 
-.PHONY: all build test bench bench-json bench-baseline bench-compare fuzz cover staticcheck govulncheck fmt fmt-check vet quickstart serve-smoke ci
+.PHONY: all build test bench-module bench bench-json bench-baseline bench-compare fuzz cover staticcheck govulncheck fmt fmt-check vet quickstart serve-smoke ci
 
 all: build
 
@@ -26,6 +27,13 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# bench/ is its own Go module (repro/bench, `replace repro => ../`), so
+# the root vet and test never compile it. Vet and test it on its own —
+# TestBenchSmoke runs every workload at toy size, ~20 s — so a change to
+# the table or sample API it imports cannot break it silently.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # CI's fuzz smoke: short coverage-guided runs of the packed-codec
 # round-trip target and the serve request decoder. One -fuzz pattern per
@@ -152,4 +160,4 @@ serve-smoke:
 		| jq -e '.k == 4 and (has("graph") | not)'; \
 	curl -fsS http://127.0.0.1:18080/stats | jq -e '.k == 4 and .openMs > 0'
 
-ci: fmt-check vet build test fuzz bench quickstart serve-smoke cover
+ci: fmt-check vet build test bench-module fuzz bench quickstart serve-smoke cover

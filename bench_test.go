@@ -25,6 +25,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/table"
 	"repro/internal/treelet"
+	"repro/internal/u128"
 )
 
 // benchGraph is the shared small workload: heavy-tailed, ~9k edges.
@@ -367,6 +368,52 @@ func BenchmarkTableBytesPerPair(b *testing.B) {
 			}
 			b.ReportMetric(float64(bytes)/float64(pairs), "bytes/pair")
 			b.ReportMetric(float64(bytes)/1024, "totalKB")
+		})
+	}
+}
+
+// BenchmarkSmartSynthesis is the table-layer rung of smart-star synthesis
+// on the k=6 storage graph (built without 0-rooting, so every node has a
+// size-k record), with a fresh SynthCache per op. record walks every
+// node's size-k record with View.Each — the whole-record read, which
+// computes each neighbor sum of the node once; shape runs one ShapeEach
+// per node, cycling through the synthesized size-k shapes — the single
+// lookup, computing only the sums one shape reads. ns/record is per node
+// visited.
+func BenchmarkSmartSynthesis(b *testing.B) {
+	g := storageGraph()
+	k := 6
+	col := coloring.Uniform(g.NumNodes(), k, 1007)
+	cat := treelet.NewCatalog(k)
+	opts := build.DefaultOptions()
+	opts.ZeroRooted = false
+	tab, _, err := build.Run(context.Background(), g, col, k, cat, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var shapes []treelet.Treelet
+	for _, t := range cat.BySize[k] {
+		if cat.Height(t) <= 2 {
+			shapes = append(shapes, t)
+		}
+	}
+	sink := func(treelet.Colored, u128.Uint128) bool { return true }
+	for _, arm := range []struct {
+		name string
+		read func(vw table.View, v int)
+	}{
+		{"record", func(vw table.View, _ int) { vw.Each(sink) }},
+		{"shape", func(vw table.View, v int) { vw.ShapeEach(shapes[v%len(shapes)], sink) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cache := table.NewSynthCache()
+				for v := 0; v < tab.N; v++ {
+					arm.read(tab.Rec(k, int32(v)).WithCache(cache), v)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tab.N), "ns/record")
 		})
 	}
 }

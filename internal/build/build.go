@@ -379,7 +379,7 @@ type worker struct {
 	outBuf    table.Pairs            // sorted result of the accumulation map
 	aggBuf    table.Pairs            // neighbor-buffered aggregate record
 	enc       []byte                 // packed encoding handed to the sink
-	cache     *table.SynthCache      // memo for smart-star neighbor sums (nil when materialized)
+	cache     *table.SynthCache      // smart-star neighbor sums (nil when materialized)
 
 	ops      int64
 	buffered int64
@@ -392,8 +392,8 @@ func newWorker(b *builder, h int) *worker {
 		recMemo: make(map[int64]*table.Pairs),
 	}
 	if b.opts.SmartStars {
-		// Smart inputs are synthesized on read; the per-worker memo keeps
-		// the neighbor-sum terms from being recomputed per consumer.
+		// Smart inputs are synthesized on read; the per-worker cache keeps
+		// a node's neighbor sums across its reads at different sizes.
 		w.cache = table.NewSynthCache()
 	}
 	if budget := b.opts.MemBudget; budget > 0 {

@@ -89,7 +89,7 @@ func (u *Urn) NewShapeUrns(shapes []treelet.Treelet) ([]*ShapeUrn, error) {
 			acc.roots = make([][]int32, len(shapes))
 			acc.weights = make([][]float64, len(shapes))
 			acc.totals = make([]u128.Uint128, len(shapes))
-			cache := table.NewSynthCache() // synthesis memo is not concurrency-safe
+			cache := table.NewSynthCache() // synthesis cache is goroutine-local
 			perShape := make([]u128.Uint128, len(shapes))
 			for _, v := range u.roots[lo:hi] {
 				for i := range perShape {

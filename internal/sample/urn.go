@@ -88,7 +88,7 @@ type Urn struct {
 
 	buffers    map[bufKey][]childChoice
 	canonCache map[graphlet.Code]graphlet.Code
-	synthCache *table.SynthCache // memo for smart-star neighbor sums
+	synthCache *table.SynthCache // smart-star neighbor sums of recently read nodes
 
 	// The amortization caches hold pure functions of the immutable table,
 	// so they are concurrency-safe and shared across clones: a record is
@@ -200,7 +200,7 @@ func NewUrn(g *graph.Graph, col *coloring.Coloring, tab *table.Table, cat *treel
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				cache := table.NewSynthCache() // synthesis memo is not concurrency-safe
+				cache := table.NewSynthCache() // synthesis cache is goroutine-local
 				for v := lo; v < hi; v++ {
 					totals[v] = tab.Rec(k, int32(v)).WithCache(cache).Total()
 				}

@@ -24,6 +24,18 @@ package table
 // same argument the color-coding DP rests on, so the synthesized counts are
 // entry-identical to what the DP would have materialized.
 //
+// Evaluation. The neighbor sums w_v(C') of one node live in a dense array
+// indexed by color set, held in a node slot of the reading goroutine's
+// SynthCache. Every read — a whole record (View.Each, Total and everything
+// built on them) or a single shape or key (Count, ShapeEach, ShapeTotal,
+// SampleShape) — computes only the sums its partitions use, each with one
+// sweep over v's neighbors on first use, and keeps them in the slot, so a
+// node read at several sizes or shapes in a row computes each sum once.
+// Partitions are walked over the array with subset loops and plain
+// recursion, no closures. Counts are u128 sums, and wrapping arithmetic is
+// a commutative ring, so the order in which terms are summed never changes
+// a count.
+//
 // Height ≤ 2 covers every treelet of size ≤ 3, so a smart table stores no
 // levels below size 4 at all — no arenas, no offset indexes — and levels
 // ≥ 4 store only the height-≥ 3 shapes. On the ER benchmark graph at k=6
@@ -57,10 +69,20 @@ type starGroup struct {
 
 // synthShape is one synthesized (height ≤ 2) rooted treelet shape: its code
 // and the star sizes of its child subtrees, grouped by multiplicity in
-// canonical (ascending size) order.
+// descending size order — the order the partition walk places them in, so
+// the leaf children, whose product needs no enumeration, come last.
 type synthShape struct {
 	t      treelet.Treelet
 	groups []starGroup
+}
+
+// widest returns the node count of the shape's largest child star (0 for
+// the single-node shape).
+func (sh *synthShape) widest() int {
+	if len(sh.groups) == 0 {
+		return 0
+	}
+	return sh.groups[0].size
 }
 
 // smartState is the synthesis machinery of a smart table: the graph, the
@@ -68,12 +90,12 @@ type synthShape struct {
 // shape directory per treelet size. All fields are immutable once attached,
 // so Views over a smart table stay safe for concurrent readers.
 type smartState struct {
+	k      int
 	g      *graph.Graph // nil between Load and AttachGraph
 	colors []uint8
 	deg    []uint32 // deg[v*k+c] = number of neighbors of v with color c
 
-	synth    [][]synthShape // synth[h]: synthesized shapes of size h, code order
-	synthSet map[treelet.Treelet]*synthShape
+	synth [][]synthShape // synth[h]: synthesized shapes of size h, code order
 }
 
 // SmartStars reports whether the table synthesizes star-family records from
@@ -100,18 +122,16 @@ func colorDegrees(g *graph.Graph, colors []uint8, k int) []uint32 {
 // newSmartState builds the immutable synthesis directory for size k.
 func newSmartState(k int) *smartState {
 	cat := treelet.NewCatalog(k)
-	s := &smartState{
-		synth:    make([][]synthShape, k+1),
-		synthSet: make(map[treelet.Treelet]*synthShape),
-	}
+	s := &smartState{k: k, synth: make([][]synthShape, k+1)}
 	for h := 1; h <= k; h++ {
 		for _, t := range cat.BySize[h] {
 			if cat.Height(t) > maxSynthHeight {
 				continue
 			}
 			sh := synthShape{t: t}
-			for _, c := range t.Children() {
-				n := c.Size()
+			children := t.Children() // ascending size
+			for i := len(children) - 1; i >= 0; i-- {
+				n := children[i].Size()
 				if m := len(sh.groups); m > 0 && sh.groups[m-1].size == n {
 					sh.groups[m-1].mult++
 				} else {
@@ -120,11 +140,31 @@ func newSmartState(k int) *smartState {
 			}
 			s.synth[h] = append(s.synth[h], sh)
 		}
-		for i := range s.synth[h] {
-			s.synthSet[s.synth[h][i].t] = &s.synth[h][i]
-		}
 	}
 	return s
+}
+
+// shape returns the directory entry of a synthesized shape, or nil when t
+// is stored (or not a treelet of this table).
+func (s *smartState) shape(t treelet.Treelet) *synthShape {
+	h := t.Size()
+	if h > s.k {
+		return nil
+	}
+	shs := s.synth[h]
+	lo, hi := 0, len(shs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if shs[mid].t < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(shs) && shs[lo].t == t {
+		return &shs[lo]
+	}
+	return nil
 }
 
 // EnableSmartStars switches a freshly created table into smart mode: star
@@ -194,59 +234,144 @@ func (t *Table) AttachGraph(g *graph.Graph) error {
 // synthesized reports whether shape records are synthesized rather than
 // stored (smart tables only; the shape must belong to the catalog).
 func (t *Table) synthesized(shape treelet.Treelet) bool {
-	if t.smart == nil {
-		return false
+	return t.smart != nil && t.smart.shape(shape) != nil
+}
+
+// --- the synthesis cache ------------------------------------------------------
+
+// synthSlots is the number of node slots in a SynthCache: the nesting the
+// samplers use — a ShapeEach at one node whose callback counts at another
+// — needs two.
+const synthSlots = 2
+
+// SynthCache holds the neighbor sums w_v(C') of star synthesis for the
+// two nodes a goroutine read most recently, one dense array of 2^k sums
+// per node slot, so its size depends only on k. The sums depend only on
+// the (immutable) colored-degree summaries, so they never go stale; the
+// cache exists because the build DP reads a node's records at several
+// sizes in a row, and a sampling sweep counts at the same node for every
+// candidate it checks. A cache must not be shared across goroutines —
+// each build worker and each Urn owns one, mirroring how the urn's
+// neighbor buffers are goroutine-local. Reading another table through it
+// drops what it held. A nil cache is valid: every sum is then computed on
+// demand and not kept.
+type SynthCache struct {
+	s     *smartState // the state the slots were filled from
+	tick  uint64
+	slots [synthSlots]synthSlot
+}
+
+// synthSlot holds the neighbor sums of one node: w[S] is valid when bit S
+// of known is set. Sums over a single color are never stored: they are the
+// node's own colored degrees.
+type synthSlot struct {
+	v     int32
+	pins  int    // walks in progress over this slot; a pinned slot is never reassigned
+	used  uint64 // tick of the last acquire, for least-recently-used reuse
+	w     []u128.Uint128
+	known []uint64
+}
+
+// NewSynthCache returns an empty cache. Its slots are allocated on first
+// use, sized from the k of the table read through it.
+func NewSynthCache() *SynthCache { return &SynthCache{} }
+
+// acquire returns the slot of node v, pinned until release: v's own slot
+// when the cache holds one, else the least recently used unpinned slot,
+// emptied for v. It returns nil — synthesize without keeping sums — for a
+// nil cache and when every slot is pinned by an enclosing walk.
+func (c *SynthCache) acquire(s *smartState, v int32) *synthSlot {
+	if c == nil {
+		return nil
 	}
-	_, ok := t.smart.synthSet[shape]
-	return ok
+	if c.s != s {
+		for i := range c.slots {
+			if c.slots[i].pins > 0 {
+				return nil
+			}
+		}
+		c.s = s
+		for i := range c.slots {
+			c.slots[i].v = -1
+		}
+	}
+	c.tick++
+	var victim *synthSlot
+	for i := range c.slots {
+		sl := &c.slots[i]
+		if sl.v == v {
+			sl.pins++
+			sl.used = c.tick
+			return sl
+		}
+		if sl.pins == 0 && (victim == nil || sl.used < victim.used) {
+			victim = sl
+		}
+	}
+	if victim == nil {
+		return nil
+	}
+	if n := 1 << s.k; len(victim.w) != n {
+		victim.w = make([]u128.Uint128, n)
+		victim.known = make([]uint64, (n+63)/64)
+	} else {
+		clear(victim.known)
+	}
+	victim.v, victim.pins, victim.used = v, 1, c.tick
+	return victim
 }
 
 // --- the closed-form counts -------------------------------------------------
 
-// SynthCache memoizes the neighbor-sum terms w_v(C') of star synthesis.
-// The terms depend only on the (immutable) colored-degree summaries, so
-// cached values never go stale; the cache exists because the build DP and
-// the sampling descent ask for the same (v, C') many times. A cache must
-// not be shared across goroutines — each build worker and each Urn owns
-// one, mirroring how the urn's neighbor buffers are goroutine-local.
-type SynthCache struct {
-	m map[uint64]u128.Uint128
+// nodeSynth evaluates synthesized counts at one node v: its color, its
+// colored degrees, and the slot holding its neighbor sums (nil when the
+// sums are not kept).
+type nodeSynth struct {
+	s    *smartState
+	v    int32
+	own  treelet.ColorSet
+	row  []uint32 // d_c(v) per color c
+	slot *synthSlot
 }
 
-// NewSynthCache returns an empty cache.
-func NewSynthCache() *SynthCache {
-	return &SynthCache{m: make(map[uint64]u128.Uint128)}
+// node prepares synthesis at v through cache c for counts whose child
+// stars have at most part nodes; call release when done. Only a child star
+// of two or more nodes reads a neighbor sum, so only then is a slot taken:
+// leaf-only counts never evict the sums of another node.
+func (s *smartState) node(v int32, c *SynthCache, part int) nodeSynth {
+	n := nodeSynth{
+		s:   s,
+		v:   v,
+		own: treelet.Singleton(s.colors[v]),
+		row: s.deg[int(v)*s.k : int(v)*s.k+s.k],
+	}
+	if part >= 2 {
+		n.slot = c.acquire(s, v)
+	}
+	return n
 }
 
-// degOf returns d_c(v).
-func (s *smartState) degOf(k int, v int32, c uint8) uint32 { return s.deg[int(v)*k+int(c)] }
+// release unpins the node's slot.
+func (n *nodeSynth) release() {
+	if n.slot != nil {
+		n.slot.pins--
+	}
+}
 
-// wv computes w_v(C') = Σ_{u~v, col(u)∈C'} ∏_{c∈C'\{col u}} d_c(u): the
-// number of colorful stars with color set C' centered at a neighbor of v.
-// For singleton C' this is just d_c(v) — no neighbor sweep.
-func (s *smartState) wv(k int, v int32, cs treelet.ColorSet, cache *SynthCache) u128.Uint128 {
-	if cs.Card() == 1 {
-		return u128.From64(uint64(s.degOf(k, v, uint8(bits.TrailingZeros16(uint16(cs))))))
-	}
-	var key uint64
-	if cache != nil {
-		key = uint64(uint32(v))<<treelet.ColorBits | uint64(cs)
-		if val, ok := cache.m[key]; ok {
-			return val
-		}
-	}
+// neighborSum computes w_v(cs) = Σ_{u~v, col(u)∈cs} ∏_{c∈cs\{col u}} d_c(u)
+// with one neighbor sweep: the number of colorful stars with color set cs
+// centered at a neighbor of v.
+func (s *smartState) neighborSum(v int32, cs treelet.ColorSet) u128.Uint128 {
 	total := u128.Zero
 	for _, u := range s.g.Neighbors(v) {
 		cu := s.colors[u]
 		if !cs.Has(cu) {
 			continue
 		}
+		row := s.deg[int(u)*s.k : int(u)*s.k+s.k]
 		prod := u128.One
-		rest := cs &^ treelet.Singleton(cu)
-		for rest != 0 {
-			c := uint8(bits.TrailingZeros16(uint16(rest)))
-			rest &= rest - 1
-			d := s.degOf(k, u, c)
+		for rest := cs &^ treelet.Singleton(cu); rest != 0; rest &= rest - 1 {
+			d := row[bits.TrailingZeros16(uint16(rest))]
 			if d == 0 {
 				prod = u128.Zero
 				break
@@ -255,106 +380,181 @@ func (s *smartState) wv(k int, v int32, cs treelet.ColorSet, cache *SynthCache) 
 		}
 		total = total.Add(prod)
 	}
-	if cache != nil {
-		cache.m[key] = total
-	}
 	return total
 }
 
-// assign sums ∏_i w_v(C_i) over all unordered partitions of avail into
-// parts matching the remaining child-star groups.
-func (s *smartState) assign(k int, v int32, groups []starGroup, avail treelet.ColorSet, cache *SynthCache) u128.Uint128 {
-	if len(groups) == 0 {
-		if avail == 0 {
-			return u128.One
-		}
-		return u128.Zero
+// term returns w_v(cs) for |cs| ≥ 1: v's colored degree for a single
+// color, else the slot's sum, computed on demand and kept when missing.
+func (n *nodeSynth) term(cs treelet.ColorSet) u128.Uint128 {
+	if cs&(cs-1) == 0 {
+		return u128.From64(uint64(n.row[bits.TrailingZeros16(uint16(cs))]))
 	}
-	return s.pick(k, v, groups, avail, 0, groups[0].mult, cache)
+	sl := n.slot
+	if sl == nil {
+		return n.s.neighborSum(n.v, cs)
+	}
+	word, bit := cs>>6, uint64(1)<<(cs&63)
+	if sl.known[word]&bit != 0 {
+		return sl.w[cs]
+	}
+	w := n.s.neighborSum(n.v, cs)
+	sl.w[cs] = w
+	sl.known[word] |= bit
+	return w
 }
 
-// pick chooses the next part for the current group: parts of one group are
-// enumerated in strictly increasing mask order, which counts each unordered
-// selection of identical child shapes exactly once (the combinatorial form
-// of the DP's β_T division).
-func (s *smartState) pick(k int, v int32, groups []starGroup, avail, min treelet.ColorSet, left int, cache *SynthCache) u128.Uint128 {
+// split sums ∏_i w_v(C_i) over the partitions of rest into the child stars
+// of groups (rest holds exactly as many colors as the children nodes).
+func (n *nodeSynth) split(groups []starGroup, rest treelet.ColorSet) u128.Uint128 {
+	switch len(groups) {
+	case 0:
+		return u128.One // the single-node treelet: rest is empty
+	case 1:
+		return n.cover(groups[0].size, groups[0].mult, rest)
+	}
+	return n.parts(groups, groups[0].mult, rest, 0)
+}
+
+// parts places the left remaining children of groups[0] and then the
+// later groups into avail; prev is the part placed last in groups[0] (0 at
+// its start). Parts of one group are placed in ascending order of their
+// lowest color, which counts each unordered choice among identical child
+// stars once — the combinatorial form of the DP's β_T division.
+func (n *nodeSynth) parts(groups []starGroup, left int, avail, prev treelet.ColorSet) u128.Uint128 {
 	if left == 0 {
-		return s.assign(k, v, groups[1:], avail, cache)
+		groups = groups[1:]
+		if len(groups) == 1 {
+			return n.cover(groups[0].size, groups[0].mult, avail)
+		}
+		left, prev = groups[0].mult, 0
+	}
+	from := avail
+	if prev != 0 {
+		from &^= (prev&-prev)<<1 - 1
 	}
 	total := u128.Zero
-	subsetsAsc(avail, groups[0].size, func(part treelet.ColorSet) {
-		if part <= min {
-			return
-		}
-		w := s.wv(k, v, part, cache)
+	for part := firstSubset(from, groups[0].size); part != 0; part = nextSubset(from, part) {
+		w := n.term(part)
 		if w.IsZero() {
-			return
+			continue
 		}
-		rest := s.pick(k, v, groups, avail&^part, part, left-1, cache)
-		if !rest.IsZero() {
-			total = total.Add(w.Mul(rest))
+		if r := n.parts(groups, left-1, avail&^part, part); !r.IsZero() {
+			total = total.Add(w.Mul(r))
 		}
-	})
+	}
 	return total
 }
 
-// synthCount computes the synthesized c(T_C, v) for a height-≤2 shape.
-func (s *smartState) synthCount(k int, v int32, sh *synthShape, cs treelet.ColorSet, cache *SynthCache) u128.Uint128 {
-	own := treelet.Singleton(s.colors[v])
-	if cs&own == 0 || cs.Card() != sh.t.Size() {
+// cover sums over the ways to split avail exactly into count identical
+// child stars of size colors each: leaves multiply v's own colored
+// degrees, larger stars take the lowest remaining color in each next part.
+func (n *nodeSynth) cover(size, count int, avail treelet.ColorSet) u128.Uint128 {
+	if size == 1 {
+		prod := u128.One
+		for ; avail != 0; avail &= avail - 1 {
+			d := n.row[bits.TrailingZeros16(uint16(avail))]
+			if d == 0 {
+				return u128.Zero
+			}
+			prod = prod.Mul64(uint64(d))
+		}
+		return prod
+	}
+	if count == 1 {
+		return n.term(avail)
+	}
+	low := avail & -avail
+	from := avail &^ low
+	total := u128.Zero
+	for sub := firstSubset(from, size-1); sub != 0; sub = nextSubset(from, sub) {
+		w := n.term(low | sub)
+		if w.IsZero() {
+			continue
+		}
+		if r := n.cover(size, count-1, from&^sub); !r.IsZero() {
+			total = total.Add(w.Mul(r))
+		}
+	}
+	return total
+}
+
+// count computes the synthesized c(T_C, v) for a height-≤2 shape.
+func (n *nodeSynth) count(sh *synthShape, cs treelet.ColorSet) u128.Uint128 {
+	if cs&n.own == 0 || cs.Card() != sh.t.Size() {
 		return u128.Zero
 	}
-	return s.assign(k, v, sh.groups, cs&^own, cache)
+	return n.split(sh.groups, cs&^n.own)
 }
 
-// synthShapeEach enumerates the synthesized entries of one shape at node v
-// in ascending color-set order, calling fn for every nonzero count; fn
+// shapeEach enumerates the synthesized entries of one shape at the node in
+// ascending color-set order, calling fn for every nonzero count; fn
 // returns false to stop early. The return value reports whether the walk
 // ran to completion.
-func (s *smartState) synthShapeEach(k int, v int32, sh *synthShape, cache *SynthCache, fn func(treelet.Colored, u128.Uint128) bool) bool {
-	own := treelet.Singleton(s.colors[v])
-	avail := ((treelet.ColorSet(1) << k) - 1) &^ own
-	done := true
-	subsetsAsc(avail, sh.t.Size()-1, func(rest treelet.ColorSet) {
-		if !done {
-			return
-		}
-		cnt := s.assign(k, v, sh.groups, rest, cache)
+func (n *nodeSynth) shapeEach(sh *synthShape, fn func(treelet.Colored, u128.Uint128) bool) bool {
+	if len(sh.groups) == 0 {
+		return fn(treelet.MakeColored(sh.t, n.own), u128.One)
+	}
+	avail := n.others()
+	for rest := firstSubset(avail, sh.t.Size()-1); rest != 0; rest = nextSubset(avail, rest) {
+		cnt := n.split(sh.groups, rest)
 		if cnt.IsZero() {
-			return
+			continue
 		}
-		if !fn(treelet.MakeColored(sh.t, rest|own), cnt) {
-			done = false
+		if !fn(treelet.MakeColored(sh.t, rest|n.own), cnt) {
+			return false
 		}
-	})
-	return done
+	}
+	return true
 }
 
-// subsetsAsc enumerates the size-n subsets of mask in ascending numeric
-// order: the largest chosen bit ascends in the outer position, recursively.
-func subsetsAsc(mask treelet.ColorSet, n int, fn func(treelet.ColorSet)) {
-	if n == 0 {
-		fn(0)
-		return
+// shapeTotal sums the synthesized entries of one shape at the node.
+func (n *nodeSynth) shapeTotal(sh *synthShape) u128.Uint128 {
+	if len(sh.groups) == 0 {
+		return u128.One
 	}
-	var posns [treelet.ColorBits]uint8
-	m := 0
-	for rest := mask; rest != 0; rest &= rest - 1 {
-		posns[m] = uint8(bits.TrailingZeros16(uint16(rest)))
-		m++
+	tot := u128.Zero
+	avail := n.others()
+	for rest := firstSubset(avail, sh.t.Size()-1); rest != 0; rest = nextSubset(avail, rest) {
+		tot = tot.Add(n.split(sh.groups, rest))
 	}
-	combosAsc(posns[:m], n, 0, fn)
+	return tot
 }
 
-// combosAsc yields size-n bit combinations of the ascending positions list,
-// each OR-ed with acc, in ascending numeric order.
-func combosAsc(posns []uint8, n int, acc treelet.ColorSet, fn func(treelet.ColorSet)) {
-	if n == 0 {
-		fn(acc)
-		return
+// others returns every color but the node's own: the colors its children
+// take.
+func (n *nodeSynth) others() treelet.ColorSet {
+	return (treelet.ColorSet(1)<<n.s.k - 1) &^ n.own
+}
+
+// firstSubset returns the smallest n-color subset of m (its n lowest
+// colors), or 0 when m has fewer than n colors; n ≥ 1.
+func firstSubset(m treelet.ColorSet, n int) treelet.ColorSet {
+	var x treelet.ColorSet
+	for ; n > 0; n-- {
+		if m == 0 {
+			return 0
+		}
+		low := m & -m
+		x |= low
+		m &^= low
 	}
-	for i := n - 1; i < len(posns); i++ {
-		top := treelet.ColorSet(1) << posns[i]
-		combosAsc(posns[:i], n-1, acc|top, fn)
+	return x
+}
+
+// nextSubset returns the next larger subset of m with as many colors as x,
+// or 0 after the last — Gosper's hack on the colors of m: the carry of
+// adding x's lowest color runs through x's lowest run of colors (and every
+// color outside m) to the next free color of m, and the run, less the
+// color that moved, restarts at m's lowest colors.
+func nextSubset(m, x treelet.ColorSet) treelet.ColorSet {
+	r := ((x | ^m) + x&-x) & m
+	if r == 0 {
+		return 0
 	}
+	for fill, need := m, x.Card()-r.Card(); need > 0; need-- {
+		low := fill & -fill
+		r |= low
+		fill &^= low
+	}
+	return r
 }

@@ -234,8 +234,14 @@ func TestValidateRejectsStoredSynthesizedShape(t *testing.T) {
 }
 
 func TestSubsetsAscOrder(t *testing.T) {
-	var got []treelet.ColorSet
-	subsetsAsc(0b110110, 2, func(cs treelet.ColorSet) { got = append(got, cs) })
+	subsets := func(m treelet.ColorSet, n int) []treelet.ColorSet {
+		var got []treelet.ColorSet
+		for x := firstSubset(m, n); x != 0; x = nextSubset(m, x) {
+			got = append(got, x)
+		}
+		return got
+	}
+	got := subsets(0b110110, 2)
 	want := []treelet.ColorSet{
 		0b000110, 0b010010, 0b010100, 0b100010, 0b100100, 0b110000,
 	}
@@ -245,6 +251,27 @@ func TestSubsetsAscOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("subset %d = %b, want %b (order broken)", i, got[i], want[i])
+		}
+	}
+	// Every mask over the 11 colors of treelet.MaxK and every size: exactly
+	// the n-subsets of the mask, strictly ascending.
+	for m := treelet.ColorSet(0); m < 1<<treelet.MaxK; m++ {
+		for n := 1; n <= treelet.MaxK; n++ {
+			var want []treelet.ColorSet
+			for x := treelet.ColorSet(1); x <= m; x++ {
+				if x&^m == 0 && x.Card() == n {
+					want = append(want, x)
+				}
+			}
+			got := subsets(m, n)
+			if len(got) != len(want) {
+				t.Fatalf("mask %b size %d: %d subsets, want %d", m, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("mask %b size %d: subset %d = %b, want %b", m, n, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -282,5 +309,54 @@ func TestSynthStarClosedForm(t *testing.T) {
 	}
 	if got := tab.Rec(3, 1).Count(treelet.MakeColored(leafStar3, 0b0111)); got != u128.From64(1) {
 		t.Fatalf("leaf-rooted 3-star count = %v, want 1", got)
+	}
+}
+
+// TestSynthCachePins pins the slot contract nested reads rely on: a slot a
+// walk holds — even while the walk's own node is read again inside it — is
+// never handed to another node until the walk releases it; a read whose
+// child stars are all leaves takes no slot; and released slots serve
+// again.
+func TestSynthCachePins(t *testing.T) {
+	s := newSmartState(4)
+	s.colors, s.deg = make([]uint8, 8), make([]uint32, 8*4)
+	c := NewSynthCache()
+	outer := s.node(1, c, 2)
+	if outer.slot == nil {
+		t.Fatal("an empty cache gave no slot")
+	}
+	inner := s.node(1, c, 3) // a nested read at the walk's own node
+	if inner.slot != outer.slot {
+		t.Fatal("a nested read at the same node got another slot")
+	}
+	inner.release()
+	if leaf := s.node(2, c, 1); leaf.slot != nil {
+		t.Fatal("a leaf-only read took a slot")
+	}
+	// Open walks at other nodes until every slot is pinned.
+	var open []nodeSynth
+	for v := int32(2); len(open) < synthSlots-1; v++ {
+		n := s.node(v, c, 2)
+		if n.slot == nil || n.slot == outer.slot {
+			t.Fatalf("node %d: no free slot, or the outer walk's", v)
+		}
+		open = append(open, n)
+	}
+	if n := s.node(7, c, 2); n.slot != nil {
+		t.Fatal("a read got a slot while every slot was pinned")
+	}
+	for _, n := range open {
+		n.release()
+	}
+	for v := int32(2); v < 8; v++ {
+		n := s.node(v, c, 2)
+		if n.slot == nil || n.slot == outer.slot {
+			t.Fatalf("node %d: no released slot, or the outer walk's", v)
+		}
+		n.release()
+	}
+	outer.release()
+	if n := s.node(0, c, 2); n.slot != outer.slot {
+		t.Fatal("the released outer slot does not serve again")
 	}
 }

@@ -208,8 +208,9 @@ func (t *Table) SetLevelOrdered(h int, arena []byte, starts []int64) error {
 // (the paper's t) — the sum of occ(v) over the size-K records.
 func (t *Table) TotalK() u128.Uint128 {
 	sum := u128.Zero
+	cache := NewSynthCache() // local to this pass, so the walk stays concurrency-safe
 	for v := int32(0); int(v) < t.N; v++ {
-		sum = sum.Add(t.Rec(t.K, v).Total())
+		sum = sum.Add(t.Rec(t.K, v).WithCache(cache).Total())
 	}
 	return sum
 }
@@ -304,9 +305,10 @@ func (t *Table) LogicalPairs() int64 {
 		return t.Pairs()
 	}
 	var p int64
+	cache := NewSynthCache()
 	for h := 1; h <= t.K; h++ {
 		for v := int32(0); int(v) < t.N; v++ {
-			p += int64(t.Rec(h, v).Len())
+			p += int64(t.Rec(h, v).WithCache(cache).Len())
 		}
 	}
 	return p
@@ -377,9 +379,9 @@ type View struct {
 	cache *SynthCache
 }
 
-// WithCache returns the view with a synthesis memo attached: neighbor-sum
-// terms of synthesized counts are looked up in (and added to) cache. The
-// cache must be owned by the calling goroutine.
+// WithCache returns the view with a synthesis cache attached: the
+// neighbor sums of synthesized counts are kept in (and read from) the
+// node's slot in c. The cache must be owned by the calling goroutine.
 func (vw View) WithCache(c *SynthCache) View {
 	vw.cache = c
 	return vw
@@ -391,8 +393,8 @@ func (vw View) WithCache(c *SynthCache) View {
 func (vw View) Packed() Record { return vw.rec }
 
 // synthetic returns the synthesized shapes of the view's size, or nil when
-// nothing is synthesized at (h, v) — materialized table, detached state, or
-// a node excluded by 0-rooting.
+// nothing is synthesized at (h, v) — materialized table, or a node
+// excluded by 0-rooting.
 func (vw View) synthetic() []synthShape {
 	if vw.t == nil || vw.t.smart == nil {
 		return nil
@@ -403,13 +405,31 @@ func (vw View) synthetic() []synthShape {
 	return vw.t.smart.synth[vw.h]
 }
 
+// synthShape reports whether shape t is synthesized on the view's table,
+// with its directory entry when the view's record can hold it (nil for a
+// shape of another size or a node excluded by 0-rooting).
+func (vw View) synthShape(t treelet.Treelet) (*synthShape, bool) {
+	if vw.t == nil || vw.t.smart == nil {
+		return nil, false
+	}
+	sh := vw.t.smart.shape(t)
+	if sh == nil {
+		return nil, false
+	}
+	if t.Size() != vw.h || vw.t.topLevelSkip(vw.h, vw.v) {
+		return nil, true
+	}
+	return sh, true
+}
+
 // Each calls fn for every entry of the view in ascending key order —
 // synthesized entries merged into stored ones — until fn returns false.
 func (vw View) Each(fn func(treelet.Colored, u128.Uint128) bool) {
+	c := vw.rec.Cursor(0)
+	n := vw.rec.Len()
 	syn := vw.synthetic()
 	if len(syn) == 0 {
-		c := vw.rec.Cursor(0)
-		for i := 0; i < vw.rec.Len(); i++ {
+		for i := 0; i < n; i++ {
 			k, cnt := c.Next()
 			if !fn(k, cnt) {
 				return
@@ -417,43 +437,39 @@ func (vw View) Each(fn func(treelet.Colored, u128.Uint128) bool) {
 		}
 		return
 	}
-	s := vw.t.smart
-	c := vw.rec.Cursor(0)
-	n, pi := vw.rec.Len(), 0
+	ns := vw.t.smart.node(vw.v, vw.cache, vw.h-1)
+	defer ns.release()
 	var (
-		pk   treelet.Colored
-		pc   u128.Uint128
-		have bool
+		pk treelet.Colored
+		pc u128.Uint128
 	)
-	advance := func() {
-		if pi < n {
-			pk, pc = c.Next()
-			pi++
-			have = true
-		} else {
-			have = false
-		}
+	i := 0
+	if n > 0 {
+		pk, pc = c.Next()
 	}
-	advance()
 	for si := range syn {
 		// Stored entries sorting before the next synthesized shape (stored
 		// records never contain a synthesized shape — Validate enforces it).
 		bound := treelet.MakeColored(syn[si].t, 0)
-		for have && pk < bound {
+		for ; i < n && pk < bound; i++ {
 			if !fn(pk, pc) {
 				return
 			}
-			advance()
+			if i+1 < n {
+				pk, pc = c.Next()
+			}
 		}
-		if !s.synthShapeEach(vw.t.K, vw.v, &syn[si], vw.cache, fn) {
+		if !ns.shapeEach(&syn[si], fn) {
 			return
 		}
 	}
-	for have {
+	for ; i < n; i++ {
 		if !fn(pk, pc) {
 			return
 		}
-		advance()
+		if i+1 < n {
+			pk, pc = c.Next()
+		}
 	}
 }
 
@@ -461,14 +477,14 @@ func (vw View) Each(fn func(treelet.Colored, u128.Uint128) bool) {
 // it walks the synthesized shapes, so prefer Each where iteration is the
 // goal anyway).
 func (vw View) Len() int {
-	n := vw.rec.Len()
-	for _, sh := range vw.synthetic() {
-		s := vw.t.smart
-		s.synthShapeEach(vw.t.K, vw.v, &sh, vw.cache, func(treelet.Colored, u128.Uint128) bool {
-			n++
-			return true
-		})
+	if len(vw.synthetic()) == 0 {
+		return vw.rec.Len()
 	}
+	n := 0
+	vw.Each(func(treelet.Colored, u128.Uint128) bool {
+		n++
+		return true
+	})
 	return n
 }
 
@@ -476,53 +492,58 @@ func (vw View) Len() int {
 // entries. O(1) on materialized tables.
 func (vw View) Total() u128.Uint128 {
 	tot := vw.rec.Total()
-	for _, sh := range vw.synthetic() {
-		s := vw.t.smart
-		s.synthShapeEach(vw.t.K, vw.v, &sh, vw.cache, func(_ treelet.Colored, cnt u128.Uint128) bool {
-			tot = tot.Add(cnt)
-			return true
-		})
+	syn := vw.synthetic()
+	if len(syn) == 0 {
+		return tot
 	}
+	ns := vw.t.smart.node(vw.v, vw.cache, vw.h-1)
+	for i := range syn {
+		tot = tot.Add(ns.shapeTotal(&syn[i]))
+	}
+	ns.release()
 	return tot
 }
 
 // Count returns occ(T_C, v) for one colored treelet, or zero if absent.
 func (vw View) Count(key treelet.Colored) u128.Uint128 {
-	if vw.t != nil && vw.t.synthesized(key.Tree()) {
-		syn := vw.synthetic()
-		if syn == nil {
-			return u128.Zero
-		}
-		return vw.t.smart.synthCount(vw.t.K, vw.v, vw.t.smart.synthSet[key.Tree()], key.Colors(), vw.cache)
+	sh, ok := vw.synthShape(key.Tree())
+	if !ok {
+		return vw.rec.Count(key)
 	}
-	return vw.rec.Count(key)
+	if sh == nil {
+		return u128.Zero
+	}
+	ns := vw.t.smart.node(vw.v, vw.cache, sh.widest())
+	cnt := ns.count(sh, key.Colors())
+	ns.release()
+	return cnt
 }
 
 // ShapeTotal returns the total count over all colorings of shape t.
 func (vw View) ShapeTotal(t treelet.Treelet) u128.Uint128 {
-	if vw.t != nil && vw.t.synthesized(t) {
-		tot := u128.Zero
-		syn := vw.synthetic()
-		if syn == nil {
-			return tot
-		}
-		vw.t.smart.synthShapeEach(vw.t.K, vw.v, vw.t.smart.synthSet[t], vw.cache, func(_ treelet.Colored, cnt u128.Uint128) bool {
-			tot = tot.Add(cnt)
-			return true
-		})
-		return tot
+	sh, ok := vw.synthShape(t)
+	if !ok {
+		return vw.rec.ShapeTotal(t)
 	}
-	return vw.rec.ShapeTotal(t)
+	if sh == nil {
+		return u128.Zero
+	}
+	ns := vw.t.smart.node(vw.v, vw.cache, sh.widest())
+	tot := ns.shapeTotal(sh)
+	ns.release()
+	return tot
 }
 
 // ShapeEach calls fn for every entry of shape t in ascending color-set
 // order — the iter(T, v) primitive — until fn returns false.
 func (vw View) ShapeEach(t treelet.Treelet, fn func(treelet.Colored, u128.Uint128) bool) {
-	if vw.t != nil && vw.t.synthesized(t) {
-		if vw.synthetic() == nil {
-			return
+	sh, ok := vw.synthShape(t)
+	if ok {
+		if sh != nil {
+			ns := vw.t.smart.node(vw.v, vw.cache, sh.widest())
+			defer ns.release()
+			ns.shapeEach(sh, fn)
 		}
-		vw.t.smart.synthShapeEach(vw.t.K, vw.v, vw.t.smart.synthSet[t], vw.cache, fn)
 		return
 	}
 	lo, hi := vw.rec.ShapeRange(t)
@@ -565,26 +586,32 @@ func (vw View) Sample(rng u128.RandSource) treelet.Colored {
 // count — the restricted sample AGS's sample(T) primitive uses. Like
 // Sample, it consumes exactly one u128.RandN regardless of storage mode.
 func (vw View) SampleShape(rng u128.RandSource, t treelet.Treelet) treelet.Colored {
-	if vw.t != nil && vw.t.synthesized(t) {
-		span := vw.ShapeTotal(t)
-		if span.IsZero() {
+	sh, ok := vw.synthShape(t)
+	if !ok {
+		lo, hi := vw.rec.ShapeRange(t)
+		if lo >= hi {
 			panic("table: SampleShape on empty shape")
 		}
-		rv := u128.RandN(rng, span).Add64(1)
-		cum := u128.Zero
-		var key treelet.Colored
-		vw.t.smart.synthShapeEach(vw.t.K, vw.v, vw.t.smart.synthSet[t], vw.cache, func(k treelet.Colored, cnt u128.Uint128) bool {
-			key = k
-			cum = cum.Add(cnt)
-			return cum.Cmp(rv) < 0
-		})
-		return key
+		return vw.rec.SampleRange(rng, lo, hi)
 	}
-	lo, hi := vw.rec.ShapeRange(t)
-	if lo >= hi {
+	if sh == nil {
 		panic("table: SampleShape on empty shape")
 	}
-	return vw.rec.SampleRange(rng, lo, hi)
+	ns := vw.t.smart.node(vw.v, vw.cache, sh.widest())
+	defer ns.release()
+	span := ns.shapeTotal(sh)
+	if span.IsZero() {
+		panic("table: SampleShape on empty shape")
+	}
+	rv := u128.RandN(rng, span).Add64(1)
+	cum := u128.Zero
+	var key treelet.Colored
+	ns.shapeEach(sh, func(k treelet.Colored, cnt u128.Uint128) bool {
+		key = k
+		cum = cum.Add(cnt)
+		return cum.Cmp(rv) < 0
+	})
+	return key
 }
 
 // keyAtCumGE returns the key of the first merged entry whose cumulative
