@@ -6,15 +6,15 @@
 
 GO ?= go
 
-# Bench noise floor. The regression-gated family (the engine, table-open
-# and smart-star synthesis benches) runs time-based with -count=5 under an
-# explicit GOMAXPROCS, and the compare gate takes the per-metric best of
-# the five runs — one preempted run on a shared runner cannot fail the
-# gate. BENCH_TOLERANCE absorbs what remains (runner-to-runner CPU
+# Bench noise floor. The regression-gated family (the engine, table-open,
+# smart-star synthesis and sharded-build benches) runs time-based with
+# -count=5 under an explicit GOMAXPROCS, and the compare gate takes the
+# per-metric best of the five runs — one preempted run on a shared runner
+# cannot fail the gate. BENCH_TOLERANCE absorbs what remains (runner-to-runner CPU
 # variance); allocation metrics are machine-independent, so real
 # regressions still surface well inside it.
 BENCH_GOMAXPROCS ?= 1
-BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen|BenchmarkSmartSynthesis)
+BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen|BenchmarkSmartSynthesis|BenchmarkBuildSharded)
 BENCH_GATED_TIME ?= 400ms
 BENCH_TOLERANCE  ?= 60
 

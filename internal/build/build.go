@@ -21,9 +21,10 @@
 // Performance machinery implemented here, matching the paper:
 //
 //   - a vertex-sharded worker pool: nodes of a level are processed
-//     concurrently by Options.Workers goroutines (0 = GOMAXPROCS); each
-//     node's record only reads completed lower levels, so the result is
-//     bit-identical regardless of scheduling;
+//     concurrently by Options.Workers goroutines (0 = GOMAXPROCS), which
+//     share one cap on their decoded-record memos; each node's record
+//     only reads completed lower levels, so the result is bit-identical
+//     regardless of scheduling;
 //   - 0-rooting (Section 3.2): with Options.ZeroRooted the size-k level is
 //     computed only at color-0 nodes, counting each colorful k-treelet copy
 //     exactly once (it has exactly one color-0 node) and cutting both time
@@ -33,23 +34,25 @@
 //     pre-aggregated into a single sorted record, turning the
 //     deg(v)·|r_u|·|r_v| pair scan into deg(v)·|r_u| + |agg|·|r_v| —
 //     the same counts, a fraction of the work on hubs;
-//   - greedy flushing (Section 3.1): with Options.Spill each completed
-//     record is serialized to a temp file through table.DiskStore and its
-//     memory released; when the level pass finishes the spill is re-read
-//     sequentially to serve as input for the next pass. Note the scope of
-//     the current implementation: the reload stands in for the paper's
-//     memory-mapped reads, so it bounds the working set only *during* a
-//     pass — completed lower levels stay resident (they are randomly
-//     accessed by every later pass and by the sampler). Larger-than-RAM
-//     tables are a serving-side feature: persist with `motivo build -o`
-//     and reopen through table.OpenMapped, which serves every level
-//     zero-copy off the page cache (see internal/table/mmap.go).
+//   - greedy flushing (Section 3.1): each level pass cuts the vertex range
+//     into contiguous shards on a shared work queue, and every completed
+//     record is encoded once and appended to its shard's sink — a byte
+//     slice, or with Options.Spill, SpillDir or MemBudget a temp file
+//     through table.DiskStore, so the pass holds one record at a time
+//     whatever the level's size. The shards are then concatenated in order
+//     into the level arena. Note the scope: completed lower levels stay
+//     resident (they are randomly accessed by every later pass and by the
+//     sampler), so spilling bounds only what a pass adds on top of them.
+//     Larger-than-RAM tables are a serving-side feature: persist with
+//     `motivo build -o` and reopen through table.OpenMapped, which serves
+//     every level zero-copy off the page cache (see internal/table/mmap.go).
 package build
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,11 +74,10 @@ type Options struct {
 	// ZeroRooted enables 0-rooting (Section 3.2): size-k records are
 	// computed only at color-0 nodes, each unrooted copy counted once.
 	ZeroRooted bool
-	// Spill enables greedy flushing of completed records through temp
-	// files (Section 3.1): the level being built streams to disk instead
-	// of accumulating in memory, and is reloaded once the pass finishes
-	// (see the package comment for what this does and does not bound).
-	// SpillDir != "" also enables it.
+	// Spill sends every level pass's records to per-shard temp files
+	// instead of in-memory buffers (greedy flushing, Section 3.1; see the
+	// package comment for what this does and does not bound). SpillDir or
+	// MemBudget also enables it.
 	Spill bool
 	// SpillDir is the directory for spill files (the default temp dir
 	// when empty). Setting it implies Spill.
@@ -90,18 +92,15 @@ type Options struct {
 	// colored-degree summaries. Counts, estimates and sampled draw
 	// sequences are bit-identical to a materialized build at equal seed.
 	SmartStars bool
-	// MemBudget, when > 0, bounds the build's transient memory (bytes):
-	// each level pass shards the vertex range into work units pulled from
-	// a shared queue by the worker pool (work-stealing, so a shard full of
-	// hubs cannot serialize the others behind a static split), every
-	// completed record streams straight to its shard's packed spill file,
-	// and the shards are externally merged into the level arena through a
-	// bounded buffer — so the pass never holds an uncompacted level copy
-	// in RAM, and per-worker decoded-record memos are capped at roughly
-	// MemBudget/(8·workers). Completed lower levels stay resident (every
-	// later pass random-accesses them); the budget bounds what the pass
-	// itself adds on top. The resulting table is byte-identical to an
-	// unbounded in-RAM build of the same coloring at any worker count.
+	// MemBudget, when > 0, bounds the build's transient memory (bytes): it
+	// implies Spill, so records stream to per-shard spill files that are
+	// merged into the level arena without an uncompacted level copy ever
+	// sitting in RAM, and it lowers the cap on the worker pool's
+	// decoded-record memos from a fixed 8 MiB to roughly MemBudget/8,
+	// split evenly over the workers. Completed lower levels stay resident
+	// (every later pass random-accesses them); the budget bounds what the
+	// pass itself adds on top. Tables are byte-identical with and without
+	// it at any worker count.
 	MemBudget int64
 }
 
@@ -111,8 +110,8 @@ func DefaultOptions() Options {
 	return Options{ZeroRooted: true, BufferThreshold: DefaultBufferThreshold, SmartStars: true}
 }
 
-// spillEnabled reports whether greedy flushing is active.
-func (o Options) spillEnabled() bool { return o.Spill || o.SpillDir != "" }
+// toDisk reports whether level passes write their shards to temp files.
+func (o Options) toDisk() bool { return o.Spill || o.SpillDir != "" || o.MemBudget > 0 }
 
 // bufferThreshold returns the effective neighbor-buffering threshold.
 func (o Options) bufferThreshold() int {
@@ -183,6 +182,18 @@ func Run(ctx context.Context, g *graph.Graph, col *coloring.Coloring, k int, cat
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
+	}
+	if opts.toDisk() {
+		// Shard sinks open on a shard's first record, so a build whose
+		// levels store nothing would never touch the spill directory:
+		// check once, up front, that it can hold a file.
+		probe, err := table.NewDiskStoreBuffered(opts.SpillDir, 0)
+		if err != nil {
+			return nil, nil, fmt.Errorf("build: spill directory: %w", err)
+		}
+		if err := probe.Close(); err != nil {
+			return nil, nil, fmt.Errorf("build: spill directory: %w", err)
+		}
 	}
 	firstPass := 2
 	if opts.SmartStars {
@@ -258,110 +269,81 @@ func (b *builder) levelOne() error {
 	return nil
 }
 
-// level runs the size-h pass: the worker pool shards nodes, each worker
-// accumulates records from completed lower levels, encodes them into
-// packed form, and hands the bytes to a sink — the in-memory level arena,
-// or (with spilling) a temp file whose contents become the arena after the
-// pass. Either way Table.SetLevel compacts the level into node order, so
-// the resulting table is byte-identical regardless of scheduling and sink.
+// level runs the size-h pass: the vertex range is cut into contiguous
+// shards that form a shared work queue, each pool goroutine pulls shards
+// off it with one worker (and so one decoded-record memo) for the whole
+// pass, and every record goes to its shard's sink in ascending vertex
+// order (shard.go). The merge concatenates the shards in order into the
+// level arena (merge.go), so the table is byte-identical whatever the
+// schedule, the sink and the worker count.
 func (b *builder) level(ctx context.Context, h int) error {
-	if b.opts.MemBudget > 0 {
-		// The bounded-memory path: sharded work queue, per-shard spill
-		// files, external merge (shard.go / merge.go).
-		return b.levelSharded(ctx, h)
-	}
 	lvl := time.Now()
 	n := b.g.NumNodes()
-	var (
-		spill *spillSink
-		mem   *table.LevelWriter
-	)
-	if b.opts.spillEnabled() {
-		s, err := newSpillSink(b.opts.SpillDir, n)
-		if err != nil {
-			return err
+	shards := makeShards(b.g, b.opts.workers())
+	defer func() {
+		// The merge releases each sink it consumed; this sweep covers
+		// error exits mid-pass.
+		for i := range shards {
+			shards[i].close()
 		}
-		spill = s
-		defer spill.close()
-	} else {
-		mem = table.NewLevelWriter(n)
+	}()
+	// starts[v] is v's record offset within its shard until the merge
+	// rebases it; shards own disjoint ranges, so workers write it freely.
+	starts := make([]int64, n)
+	for i := range starts {
+		starts[i] = -1
 	}
 
 	var (
 		ops      int64
 		buffered int64
 		firstErr atomic.Pointer[error]
+		cursor   atomic.Int64
+		wg       sync.WaitGroup
 	)
-	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
-	parallelFor(n, b.opts.workers(), func(lo, hi int) {
-		w := newWorker(b, h)
-		for v := lo; v < hi; v++ {
-			if firstErr.Load() != nil {
-				return
-			}
-			// A canceled context must stop a long level pass mid-flight,
-			// not only at the next level barrier; checking every 256 nodes
-			// keeps the mutex in ctx.Err off the per-node path.
-			if (v-lo)&0xFF == 0 {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
+	workers := min(b.opts.workers(), len(shards))
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			w := newWorker(b, h)
+			for {
+				si := int(cursor.Add(1)) - 1
+				if si >= len(shards) || firstErr.Load() != nil {
+					break
+				}
+				if err := b.runShard(ctx, w, &shards[si], starts); err != nil {
+					firstErr.CompareAndSwap(nil, &err)
+					break
 				}
 			}
-			node := int32(v)
-			if b.topLevelSkip(h, node) {
-				continue
-			}
-			rec := w.vertexRecord(node)
-			if rec.Len() == 0 {
-				continue
-			}
-			// Encode outside any lock; both sinks copy, so the buffer is
-			// reusable immediately.
-			w.enc = table.AppendRecord(w.enc[:0], rec)
-			if spill != nil {
-				if err := spill.flush(node, w.enc); err != nil {
-					fail(err)
-					return
-				}
-				continue // memory released: the record lives on disk now
-			}
-			mem.Add(node, w.enc)
-		}
-		atomic.AddInt64(&ops, w.ops)
-		atomic.AddInt64(&buffered, w.buffered)
-	})
+			atomic.AddInt64(&ops, w.ops)
+			atomic.AddInt64(&buffered, w.buffered)
+		}()
+	}
+	wg.Wait()
 	if perr := firstErr.Load(); perr != nil {
 		return *perr
 	}
 	b.stats.CheckMergeOps += ops
 	b.stats.BufferedNodes += buffered
 
-	if spill != nil {
-		// The sequential second pass: reload the level to serve as input
-		// for the next one.
-		arena, starts, err := spill.loadAll()
-		if err != nil {
-			return err
-		}
-		if err := b.tab.SetLevel(h, arena, starts); err != nil {
-			return err
-		}
-		b.stats.SpillBytes += spill.size()
-	} else if err := mem.Install(b.tab, h); err != nil {
+	if err := b.mergeShards(h, shards, starts); err != nil {
 		return err
 	}
 	b.stats.LevelTime[h] = time.Since(lvl)
 	return nil
 }
 
-// maxMemoRecords caps the per-worker decoded-record memo: a level pass
+// maxMemoBytes caps the decoded-record memos of one level pass: a pass
 // consults each lower-level record once per consumer (deg(v) times across
-// the shard), and decoding — or, with smart stars, synthesizing — it anew
-// every time dominates the pass. 1<<15 records bound the memo to a few
-// tens of MB per worker on dense graphs; when the cap is hit the memo is
-// simply dropped and refills (correctness never depends on it).
-const maxMemoRecords = 1 << 15
+// the range), and decoding — or, with smart stars, synthesizing — it anew
+// every time dominates the pass. Each pool goroutine keeps its memo for
+// the whole pass, so the cap is shared by the pool, an equal slice per
+// worker: more workers split it instead of multiplying it. When a
+// worker's slice fills, its memo is simply dropped and refills
+// (correctness never depends on it).
+const maxMemoBytes = 8 << 20
 
 // worker is the per-goroutine state of the level pass: the accumulation
 // map, the decoded-record memo (lower levels are packed or synthesized;
@@ -375,7 +357,7 @@ type worker struct {
 
 	recMemo   map[int64]*table.Pairs // decoded (size, node) records
 	memoBytes int64                  // approximate decoded bytes held by recMemo
-	memoLimit int64                  // byte cap on the memo (0 = record-count cap only)
+	memoLimit int64                  // this worker's slice of maxMemoBytes (or of MemBudget)
 	outBuf    table.Pairs            // sorted result of the accumulation map
 	aggBuf    table.Pairs            // neighbor-buffered aggregate record
 	enc       []byte                 // packed encoding handed to the sink
@@ -386,10 +368,12 @@ type worker struct {
 }
 
 func newWorker(b *builder, h int) *worker {
+	workers := int64(b.opts.workers())
 	w := &worker{
 		b: b, h: h,
-		acc:     make(map[treelet.Colored]u128.Uint128),
-		recMemo: make(map[int64]*table.Pairs),
+		acc:       make(map[treelet.Colored]u128.Uint128),
+		recMemo:   make(map[int64]*table.Pairs),
+		memoLimit: maxMemoBytes / workers,
 	}
 	if b.opts.SmartStars {
 		// Smart inputs are synthesized on read; the per-worker cache keeps
@@ -397,12 +381,11 @@ func newWorker(b *builder, h int) *worker {
 		w.cache = table.NewSynthCache()
 	}
 	if budget := b.opts.MemBudget; budget > 0 {
-		// Bounded-memory builds cap the memo by bytes, not just record
-		// count: the worker pool's memos are the one scratch structure
-		// that scales with record size, so they get an equal slice of a
-		// fraction of the budget (floored so tiny budgets still memoize
-		// the hot lower levels).
-		w.memoLimit = max(budget/int64(8*b.opts.workers()), 256<<10)
+		// Bounded-memory builds lower the cap: the worker pool's memos are
+		// the one scratch structure that scales with record size, so they
+		// get an equal slice of a fraction of the budget (floored so tiny
+		// budgets still memoize the hot lower levels).
+		w.memoLimit = min(w.memoLimit, max(budget/(8*workers), 256<<10))
 	}
 	return w
 }
@@ -416,7 +399,7 @@ func (w *worker) pairs(h int, v int32) *table.Pairs {
 	}
 	p := new(table.Pairs)
 	w.b.tab.Rec(h, v).WithCache(w.cache).AppendPairs(p)
-	if len(w.recMemo) >= maxMemoRecords || (w.memoLimit > 0 && w.memoBytes > w.memoLimit) {
+	if w.memoBytes > w.memoLimit {
 		// Cap hit: drop the memo and let it refill (correctness never
 		// depends on it, only the recompute rate).
 		clear(w.recMemo)

@@ -302,8 +302,9 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 }
 
-// tableBytes serializes a table for byte-identity comparisons: SetLevel
-// compacts every level into node order, so equal tables serialize equal.
+// tableBytes serializes a table for byte-identity comparisons: every
+// level is installed compact and in node order (SetLevel checks it), so
+// equal tables serialize equal.
 // The coloring travels along because smart tables require it to save.
 func tableBytes(t *testing.T, tab *table.Table, col *coloring.Coloring) []byte {
 	t.Helper()
@@ -423,16 +424,27 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestSpillErrorPath: an unusable spill directory must surface as an error,
-// not a panic or a silent in-memory fallback.
+// not a panic or a silent in-memory fallback — whichever option sends the
+// build to disk, and even when no level stores a record to spill.
 func TestSpillErrorPath(t *testing.T) {
 	g := gen.Path(6)
 	k := 4 // the first stored (spillable) level of a smart build is size 4
 	col := coloring.Uniform(g.NumNodes(), k, 41)
 	cat := treelet.NewCatalog(k)
-	opts := build.DefaultOptions()
-	opts.SpillDir = "/nonexistent-dir-for-motivo-tests"
-	if _, _, err := build.Run(context.Background(), g, col, k, cat, opts); err == nil {
-		t.Fatal("expected error for unusable spill dir")
+	for _, tc := range []struct {
+		name string
+		mut  func(*build.Options)
+	}{
+		{"spilldir", func(o *build.Options) {}},
+		{"spill+spilldir", func(o *build.Options) { o.Spill = true }},
+		{"budget+spilldir", func(o *build.Options) { o.MemBudget = 1 << 20 }},
+	} {
+		opts := build.DefaultOptions()
+		opts.SpillDir = "/nonexistent-dir-for-motivo-tests"
+		tc.mut(&opts)
+		if _, _, err := build.Run(context.Background(), g, col, k, cat, opts); err == nil {
+			t.Errorf("%s: expected error for unusable spill dir", tc.name)
+		}
 	}
 }
 

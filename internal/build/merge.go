@@ -1,53 +1,42 @@
 package build
 
-// The external merge of the bounded-memory build: shard spill files
-// concatenate into the final level arena. Correctness rests on two
-// orderings that hold by construction — shards partition [0, n) in
-// ascending contiguous ranges, and within a shard the owning worker
-// flushed records in ascending vertex order — so appending the files in
-// shard order yields records in global node order, compact, with no gaps.
-// That is exactly the layout Table.SetLevel's compaction produces from an
-// arbitrarily-ordered arena, so the bounded and unbounded builds install
-// byte-identical levels (SetLevelOrdered re-checks the contiguity rather
-// than trusting it).
+// The merge of a level pass: shard sinks concatenate into the final level
+// arena. Correctness rests on two orderings that hold by construction —
+// shards partition [0, n) in ascending contiguous ranges, and within a
+// shard the owning worker wrote records in ascending vertex order — so
+// appending the sinks in shard order yields records in global node order,
+// compact, with no gaps: the one layout Table.SetLevel accepts (it
+// re-checks the contiguity rather than trusting it). That is why the
+// table is byte-identical whichever sink, schedule or worker count
+// produced it.
 
-// mergeShards streams every shard spill into one exact-size level arena
-// and installs it. Transient memory is the arena itself (which the table
-// keeps — there is no second copy) plus the spill reader's bounded
-// buffer; each spill file is deleted as soon as it has been consumed.
-func (b *builder) mergeShards(h int, shards []shard) error {
+// mergeShards copies every shard into one exact-size level arena, rebases
+// starts from shard-relative to arena offsets, and installs the level.
+// Transient memory is the arena itself (which the table keeps) plus the
+// sinks not yet consumed; each sink is released, and its spill file
+// deleted, as soon as it has been copied.
+func (b *builder) mergeShards(h int, shards []shard, starts []int64) error {
 	var total int64
 	for i := range shards {
-		if shards[i].sink != nil {
-			total += shards[i].sink.Size()
-		}
+		total += shards[i].size()
 	}
 	arena := make([]byte, total)
-	starts := make([]int64, b.g.NumNodes())
-	for i := range starts {
-		starts[i] = -1
-	}
 	var off int64
 	for i := range shards {
 		s := &shards[i]
-		if s.sink == nil {
-			continue
+		size := s.size()
+		if s.file != nil {
+			b.stats.SpillBytes += size
 		}
-		size := s.sink.Size()
-		if err := s.sink.CopyInto(arena[off : off+size]); err != nil {
+		if err := s.drain(arena[off : off+size]); err != nil {
 			return err
 		}
 		for v := s.lo; v < s.hi; v++ {
-			if o := s.sink.Offset(v - s.lo); o >= 0 {
-				starts[v] = off + o
+			if starts[v] >= 0 {
+				starts[v] += off
 			}
 		}
 		off += size
-		if err := s.sink.Close(); err != nil {
-			return err
-		}
-		s.sink = nil
 	}
-	b.stats.SpillBytes += total
-	return b.tab.SetLevelOrdered(h, arena, starts)
+	return b.tab.SetLevel(h, arena, starts)
 }

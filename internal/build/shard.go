@@ -2,27 +2,24 @@ package build
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
-	"time"
 
+	"repro/internal/graph"
 	"repro/internal/table"
 )
 
-// This file implements the bounded-memory level pass (Options.MemBudget):
-// the vertex range is cut into contiguous shards that form a shared work
-// queue, the worker pool pulls shards off the queue (work-stealing — a
-// worker stuck on a shard of hubs never strands the rest of the range,
-// unlike a static 1/workers split), and every completed record streams
-// straight into the claimed shard's packed spill file. Because exactly one
-// worker owns a shard at a time and walks its vertices in ascending order,
-// each spill file is already compact and node-ordered — which is what lets
-// merge.go concatenate them into the level arena with a bounded buffer
-// instead of re-sorting (see mergeShards for the equivalence argument).
+// This file holds the work queue of the level pass: the vertex range is
+// cut into contiguous shards of about equal degree weight, the worker
+// pool pulls shards off a shared cursor (work-stealing — a worker stuck
+// on a slow shard never strands the rest of the range, unlike a static
+// 1/workers split), and every completed record goes straight to the
+// claimed shard's sink. Because exactly one worker owns a shard at a time
+// and walks its vertices in ascending order, each sink is already compact
+// and node-ordered — which is what lets merge.go concatenate them into
+// the level arena instead of re-sorting.
 
 // shardsPerWorker is the queue's over-subscription factor: enough shards
-// per worker that stealing can balance skewed degree distributions, few
-// enough that per-shard spill files stay coarse.
+// per worker that stealing can balance what the weighted cut misjudges,
+// few enough that per-shard spill files stay coarse.
 const shardsPerWorker = 8
 
 // minShards/maxShards clamp the shard count: below the floor stealing
@@ -33,117 +30,50 @@ const (
 	maxShards = 512
 )
 
-// shard is one work unit of a bounded-memory level pass: a contiguous
-// vertex range and the spill sink its records stream to. The sink is
-// created on first flush, so shards whose range produces no records cost
+// shard is one work unit of a level pass: a contiguous vertex range and
+// the sink its records go to, back to back in vertex order. The sink is a
+// byte slice, or a temp file when the build writes to disk — created on
+// the shard's first record, so a shard whose range stores nothing costs
 // no file.
 type shard struct {
 	lo, hi int32
-	sink   *table.DiskStore
+	mem    []byte           // in-RAM sink
+	file   *table.DiskStore // temp-file sink (Options.toDisk)
 }
 
-// makeShards cuts [0, n) into the work queue's contiguous vertex ranges.
-func makeShards(n, workers int) []shard {
-	count := workers * shardsPerWorker
-	if count < minShards {
-		count = minShards
-	}
-	if count > maxShards {
-		count = maxShards
-	}
-	if count > n {
-		count = n
-	}
-	if count < 1 {
-		count = 1
-	}
-	span := (n + count - 1) / count
+// makeShards cuts g's vertex range into the work queue's contiguous
+// shards, each weighing about the same when a node weighs deg(v)+1: a
+// node's cost grows with its degree, and equal node counts would leave a
+// skewed graph's hubs — the low IDs of a preferential-attachment graph —
+// in one straggler shard. A hub heavier than a shard's share closes its
+// shard alone, so the queue may hold fewer shards than it aims for.
+func makeShards(g *graph.Graph, workers int) []shard {
+	n := g.NumNodes()
+	count := min(max(workers*shardsPerWorker, minShards), maxShards, n)
+	total := int64(n) + 2*g.NumEdges()
 	shards := make([]shard, 0, count)
-	for lo := 0; lo < n; lo += span {
-		hi := lo + span
-		if hi > n {
-			hi = n
+	var lo, weight int64
+	for v := range int64(n) {
+		weight += int64(g.Degree(graph.Node(v))) + 1
+		// Close the shard once its weight reaches the next of count equal
+		// boundaries; the last boundary is total, reached at v = n-1.
+		if weight*int64(count) >= total*int64(len(shards)+1) {
+			shards = append(shards, shard{lo: int32(lo), hi: int32(v + 1)})
+			lo = v + 1
 		}
-		shards = append(shards, shard{lo: int32(lo), hi: int32(hi)})
 	}
 	return shards
 }
 
-// levelSharded runs the size-h pass under the memory budget: workers pull
-// shards from the shared queue, stream records to per-shard spill files,
-// and the shards are externally merged into the level arena. The result
-// is byte-identical to the unbounded level() pass — records are the same
-// bytes (the per-vertex recurrence is deterministic) and the merge
-// produces the same node-ordered compact arena SetLevel's compaction
-// would.
-func (b *builder) levelSharded(ctx context.Context, h int) error {
-	lvl := time.Now()
-	n := b.g.NumNodes()
-	shards := makeShards(n, b.opts.workers())
-	defer func() {
-		// Merge closes (and removes) each sink it consumed; this sweep
-		// covers error exits mid-pass.
-		for i := range shards {
-			if shards[i].sink != nil {
-				shards[i].sink.Close()
-				shards[i].sink = nil
-			}
-		}
-	}()
-
-	workers := b.opts.workers()
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	var (
-		ops      int64
-		buffered int64
-		firstErr atomic.Pointer[error]
-		cursor   atomic.Int64
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
-	wg.Add(workers)
-	for wi := 0; wi < workers; wi++ {
-		go func() {
-			defer wg.Done()
-			w := newWorker(b, h)
-			for {
-				si := int(cursor.Add(1)) - 1
-				if si >= len(shards) || firstErr.Load() != nil {
-					break
-				}
-				if err := b.runShard(ctx, w, &shards[si]); err != nil {
-					fail(err)
-					break
-				}
-			}
-			atomic.AddInt64(&ops, w.ops)
-			atomic.AddInt64(&buffered, w.buffered)
-		}()
-	}
-	wg.Wait()
-	if perr := firstErr.Load(); perr != nil {
-		return *perr
-	}
-	b.stats.CheckMergeOps += ops
-	b.stats.BufferedNodes += buffered
-
-	if err := b.mergeShards(h, shards); err != nil {
-		return err
-	}
-	b.stats.LevelTime[h] = time.Since(lvl)
-	return nil
-}
-
 // runShard computes the records of one claimed shard in ascending vertex
-// order, streaming each encoded record to the shard's spill file — the
-// in-RAM footprint of a shard is one record at a time, whatever the
-// shard's total output size.
-func (b *builder) runShard(ctx context.Context, w *worker, s *shard) error {
+// order, appending each encoded record to the shard's sink and its
+// shard-relative offset to starts — with a file sink, the in-RAM
+// footprint of a shard is one record at a time, whatever its total size.
+func (b *builder) runShard(ctx context.Context, w *worker, s *shard, starts []int64) error {
 	for v := s.lo; v < s.hi; v++ {
-		// Same cadence as the unbounded pass: a canceled context stops a
-		// long shard mid-flight, without putting ctx.Err on every vertex.
+		// A canceled context must stop a long pass mid-flight, not only at
+		// the next level barrier; checking every 256 nodes keeps the mutex
+		// in ctx.Err off the per-node path.
 		if (v-s.lo)&0xFF == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -157,19 +87,56 @@ func (b *builder) runShard(ctx context.Context, w *worker, s *shard) error {
 			continue
 		}
 		w.enc = table.AppendRecord(w.enc[:0], rec)
-		if s.sink == nil {
+		starts[v] = s.size()
+		if !b.opts.toDisk() {
+			s.mem = append(s.mem, w.enc...)
+			continue
+		}
+		if s.file == nil {
 			// Small write buffers: every open shard holds a live sink until
 			// the merge consumes it, so at the default shard count 1 MiB
 			// buffers alone would rival a small budget.
-			sink, err := table.NewDiskStoreBuffered(b.opts.SpillDir, int(s.hi-s.lo), 64<<10)
+			file, err := table.NewDiskStoreBuffered(b.opts.SpillDir, 64<<10)
 			if err != nil {
 				return err
 			}
-			s.sink = sink
+			s.file = file
 		}
-		if err := s.sink.Flush(v-s.lo, w.enc); err != nil {
+		if err := s.file.Flush(w.enc); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// size returns the bytes written to the shard's sink so far.
+func (s *shard) size() int64 {
+	if s.file != nil {
+		return s.file.Size()
+	}
+	return int64(len(s.mem))
+}
+
+// drain copies the shard's records into dst, which must be exactly size()
+// bytes, and releases the sink.
+func (s *shard) drain(dst []byte) error {
+	if s.file != nil {
+		if err := s.file.CopyInto(dst); err != nil {
+			return err
+		}
+	} else {
+		copy(dst, s.mem)
+	}
+	return s.close()
+}
+
+// close releases the shard's sink, removing its temp file if it has one.
+func (s *shard) close() error {
+	s.mem = nil
+	if s.file == nil {
+		return nil
+	}
+	err := s.file.Close()
+	s.file = nil
+	return err
 }

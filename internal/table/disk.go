@@ -3,106 +3,42 @@ package table
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"os"
-	"sync"
 )
 
-// This file implements the two flush sinks of the greedy flushing strategy
-// (Section 3.1). While a size-h pass runs, each completed record is encoded
-// once into the packed wire format (packed.go) and handed to a sink:
-//
-//   - LevelWriter appends it to an in-memory arena (the default);
-//   - DiskStore appends it to a spill file and releases the memory, the
-//     paper's out-of-core mode.
-//
-// Both record the per-node start offset and hand the finished level to
-// Table.SetLevel, which compacts it into node order — so the resulting
-// table is byte-identical whichever sink was used and however the
-// concurrent producers were scheduled. The bytes written to disk are
-// exactly the bytes that live in RAM: one wire format for spilling,
-// in-memory storage, and persistence (serialize.go).
+// This file implements the spill sink of the greedy flushing strategy
+// (Section 3.1). While a size-h pass runs, each completed record is
+// encoded once into the packed wire format (packed.go); a build that
+// writes to disk appends it to a DiskStore and releases the memory. The
+// build keeps one DiskStore per shard of the vertex range, written in
+// node order, and concatenates them into the level arena that
+// Table.SetLevel installs. The bytes written to disk are exactly the
+// bytes that live in RAM: one wire format for spilling, in-memory
+// storage, and persistence (serialize.go).
 
-// LevelWriter collects the packed records of one size level in memory.
-// Add may be called concurrently; callers encode outside the lock.
-type LevelWriter struct {
-	mu     sync.Mutex
-	arena  []byte
-	starts []int64
-}
-
-// NewLevelWriter prepares an in-memory sink for n nodes.
-func NewLevelWriter(n int) *LevelWriter {
-	lw := &LevelWriter{starts: make([]int64, n)}
-	for i := range lw.starts {
-		lw.starts[i] = -1
-	}
-	return lw
-}
-
-// Add appends the packed record of node v (copying rec, so callers may
-// reuse their encode buffer). Empty records are skipped.
-func (w *LevelWriter) Add(v int32, rec []byte) {
-	if len(rec) == 0 {
-		return
-	}
-	w.mu.Lock()
-	w.starts[v] = int64(len(w.arena))
-	w.arena = append(w.arena, rec...)
-	w.mu.Unlock()
-}
-
-// Install hands the collected level to the table (compacted into node
-// order). The writer must not be used afterwards.
-func (w *LevelWriter) Install(t *Table, h int) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return t.SetLevel(h, w.arena, w.starts)
-}
-
-// DiskStore spills the packed records of one size level to a file.
+// DiskStore spills packed records, back to back, to a temp file. The
+// caller keeps each record's offset (Size before its Flush).
 type DiskStore struct {
-	f       *os.File
-	w       *bufio.Writer
-	offsets []int64 // offsets[v] = file offset of v's record, -1 if empty
-	lens    []int32 // lens[v] = encoded record size in bytes
-	pos     int64
+	f   *os.File
+	w   *bufio.Writer
+	pos int64
 }
 
-// NewDiskStore creates a spill file for n nodes inside dir (or the default
-// temp dir if dir is empty).
-func NewDiskStore(dir string, n int) (*DiskStore, error) {
-	return NewDiskStoreBuffered(dir, n, 1<<20)
-}
-
-// NewDiskStoreBuffered is NewDiskStore with an explicit write-buffer size.
-// The sharded bounded-memory build keeps one live sink per open shard, so
-// it uses small buffers to keep sink memory out of its budget; the
-// single-sink greedy spill path sticks with the 1 MiB default.
-func NewDiskStoreBuffered(dir string, n, bufSize int) (*DiskStore, error) {
+// NewDiskStoreBuffered creates a spill file inside dir (or the default
+// temp dir if dir is empty), written through a bufSize-byte buffer. The
+// build keeps one live sink per open shard, so it uses small buffers to
+// keep sink memory out of its budget.
+func NewDiskStoreBuffered(dir string, bufSize int) (*DiskStore, error) {
 	f, err := os.CreateTemp(dir, "motivo-table-*.spill")
 	if err != nil {
 		return nil, err
 	}
-	offs := make([]int64, n)
-	for i := range offs {
-		offs[i] = -1
-	}
-	return &DiskStore{
-		f: f, w: bufio.NewWriterSize(f, bufSize),
-		offsets: offs, lens: make([]int32, n),
-	}, nil
+	return &DiskStore{f: f, w: bufio.NewWriterSize(f, bufSize)}, nil
 }
 
-// Flush appends the packed record of node v (as produced by AppendRecord)
-// to the spill file so the caller can release the in-memory copy. Empty
-// records are skipped.
-func (d *DiskStore) Flush(v int32, rec []byte) error {
-	if len(rec) == 0 {
-		return nil
-	}
-	d.offsets[v] = d.pos
-	d.lens[v] = int32(len(rec))
+// Flush appends one packed record (as produced by AppendRecord) to the
+// spill file so the caller can release the in-memory copy.
+func (d *DiskStore) Flush(rec []byte) error {
 	if _, err := d.w.Write(rec); err != nil {
 		return err
 	}
@@ -110,41 +46,11 @@ func (d *DiskStore) Flush(v int32, rec []byte) error {
 	return nil
 }
 
-// Load reads back the record of node v (an empty record if v was never
-// flushed). The returned view owns its own copy of the bytes.
-func (d *DiskStore) Load(v int32) (Record, error) {
-	off := d.offsets[v]
-	if off < 0 {
-		return Record{}, nil
-	}
-	if err := d.w.Flush(); err != nil {
-		return Record{}, err
-	}
-	buf := make([]byte, d.lens[v])
-	if _, err := d.f.ReadAt(buf, off); err != nil {
-		return Record{}, err
-	}
-	return ViewRecord(buf) // the one shared decoder, same as Table.Rec
-}
-
-// LoadAll reloads the whole level with one sequential read: the file
-// contents are the arena (records sit at their flush offsets), so the
-// result plugs straight into Table.SetLevel.
-func (d *DiskStore) LoadAll() (arena []byte, starts []int64, err error) {
-	arena = make([]byte, d.pos)
-	if err := d.CopyInto(arena); err != nil {
-		return nil, nil, err
-	}
-	starts = make([]int64, len(d.offsets))
-	copy(starts, d.offsets)
-	return arena, starts, nil
-}
-
-// CopyInto is the spill merge reader: it streams the whole spill file
-// sequentially into dst (which must be exactly Size() bytes) through a
-// bounded 1 MiB buffer. The sharded external merge points dst at a
-// sub-range of the final level arena, so shard spills concatenate into
-// node order without a second whole-level copy ever existing.
+// CopyInto is the spill merge reader: it reads the whole spill file into
+// dst, which must be exactly Size() bytes, with one positioned read. The
+// build's merge points dst at a sub-range of the final level arena, so
+// shard spills concatenate into node order without a second whole-level
+// copy or a read buffer ever existing.
 func (d *DiskStore) CopyInto(dst []byte) error {
 	if int64(len(dst)) != d.pos {
 		return fmt.Errorf("table: spill merge into %d bytes, file has %d", len(dst), d.pos)
@@ -152,22 +58,11 @@ func (d *DiskStore) CopyInto(dst []byte) error {
 	if err := d.w.Flush(); err != nil {
 		return err
 	}
-	if d.pos == 0 {
-		return nil
-	}
-	if _, err := d.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(bufio.NewReaderSize(d.f, 1<<20), dst); err != nil {
+	if _, err := d.f.ReadAt(dst, 0); err != nil {
 		return fmt.Errorf("table: spill reload: %w", err)
 	}
 	return nil
 }
-
-// Offset returns the file offset record i was flushed at, or -1 if i was
-// never flushed — the per-record index the sharded merge shifts into
-// whole-level start offsets.
-func (d *DiskStore) Offset(i int32) int64 { return d.offsets[i] }
 
 // Size returns the current spill file size in bytes.
 func (d *DiskStore) Size() int64 { return d.pos }

@@ -109,9 +109,9 @@ func (t *Table) Rec(h int, v int32) View {
 
 // SetRec encodes p as the record of node v at size h, appending it to the
 // level arena. It is a sequential builder API (levelOne, tests); the
-// concurrent build pass goes through LevelWriter instead. Setting an
-// already-set record, or storing into a fully synthetic level of a smart
-// table, is a programming error.
+// concurrent level pass installs whole levels through SetLevel instead.
+// Setting an already-set record, or storing into a fully synthetic level
+// of a smart table, is a programming error.
 func (t *Table) SetRec(h int, v int32, p *Pairs) {
 	if p.Len() == 0 {
 		return
@@ -131,51 +131,15 @@ func (t *Table) SetRec(h int, v int32, p *Pairs) {
 }
 
 // SetLevel installs a complete size level from an arena of packed records
-// and their per-node start offsets, compacting the arena into node order so
-// the table layout is deterministic regardless of the order records were
-// produced in (concurrent builders flush in scheduling order).
+// and their per-node start offsets, taking ownership of both. The arena
+// must be compact and in node order — every non-empty record contiguous
+// with the previous one, offsets ascending with v — which is the layout
+// the build's shard merge produces; SetLevel checks it (and decodes every
+// record header) rather than trusting it, so an installed level is
+// byte-identical however the build scheduled its producers.
 func (t *Table) SetLevel(h int, arena []byte, starts []int64) error {
 	if t.mapped != nil {
 		return fmt.Errorf("table: SetLevel on a mapped table (the mapping is read-only)")
-	}
-	if len(starts) != t.N {
-		return fmt.Errorf("table: level %d has %d offsets, table has %d nodes", h, len(starts), t.N)
-	}
-	if t.smart != nil && h < minStoredSize {
-		return fmt.Errorf("table: level %d of a smart table is fully synthetic", h)
-	}
-	compact := make([]byte, 0, len(arena))
-	newStarts := make([]int64, t.N)
-	for v, off := range starts {
-		if off < 0 {
-			newStarts[v] = -1
-			continue
-		}
-		if off > int64(len(arena)) {
-			return fmt.Errorf("table: level %d record %d offset %d beyond arena", h, v, off)
-		}
-		r, err := ViewRecord(arena[off:])
-		if err != nil {
-			return fmt.Errorf("table: level %d record %d: %w", h, v, err)
-		}
-		newStarts[v] = int64(len(compact))
-		compact = append(compact, arena[off:off+int64(r.enc)]...)
-	}
-	t.levels[h] = level{arena: compact, starts: newStarts}
-	return nil
-}
-
-// SetLevelOrdered installs a size level whose arena is already compact
-// and in node order — every non-empty record contiguous with the
-// previous one, offsets ascending with v — taking ownership of arena
-// without the defensive re-copy SetLevel performs. The bounded-memory
-// build's external merge produces exactly this layout (per-shard spills
-// are written in vertex order and concatenated in shard order); the
-// contiguity check here makes the install provably byte-identical to
-// running SetLevel's compaction on the same records.
-func (t *Table) SetLevelOrdered(h int, arena []byte, starts []int64) error {
-	if t.mapped != nil {
-		return fmt.Errorf("table: SetLevelOrdered on a mapped table (the mapping is read-only)")
 	}
 	if len(starts) != t.N {
 		return fmt.Errorf("table: level %d has %d offsets, table has %d nodes", h, len(starts), t.N)

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -141,7 +142,7 @@ func TestSamplePanicsOnEmpty(t *testing.T) {
 }
 
 func TestDiskStoreRoundTrip(t *testing.T) {
-	ds, err := NewDiskStore(t.TempDir(), 5)
+	ds, err := NewDiskStoreBuffered(t.TempDir(), 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,37 +150,26 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	var p0 Pairs
 	p0.FromMap(sampleMap())
 	enc0 := AppendRecord(nil, &p0)
-	if err := ds.Flush(0, enc0); err != nil {
+	if err := ds.Flush(enc0); err != nil {
 		t.Fatal(err)
 	}
 	var p3 Pairs
 	p3.FromMap(map[treelet.Colored]u128.Uint128{
 		treelet.MakeColored(treelet.Leaf, 0b1): {Hi: 2, Lo: 3},
 	})
-	if err := ds.Flush(3, AppendRecord(nil, &p3)); err != nil {
+	enc3 := AppendRecord(nil, &p3)
+	if err := ds.Flush(enc3); err != nil {
 		t.Fatal(err)
 	}
-	got0, err := ds.Load(0)
-	if err != nil {
+	if ds.Size() != int64(len(enc0)+len(enc3)) {
+		t.Fatalf("spill size %d, want %d", ds.Size(), len(enc0)+len(enc3))
+	}
+	arena := make([]byte, ds.Size())
+	if err := ds.CopyInto(arena); err != nil {
 		t.Fatal(err)
 	}
-	if got0.Len() != p0.Len() || got0.Total() != u128.From64(15) {
-		t.Fatal("record 0 round trip failed")
-	}
-	got1, err := ds.Load(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1.Len() != 0 {
-		t.Fatal("unflushed record should load empty")
-	}
-	arena, starts, err := ds.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(starts) != 5 || starts[0] != 0 || starts[2] != -1 || starts[3] != int64(len(enc0)) {
-		t.Fatalf("LoadAll starts mismatch: %v", starts)
-	}
+	// Nodes 0 and 3 were flushed in order; 1, 2 and 4 are empty.
+	starts := []int64{0, -1, -1, int64(len(enc0)), -1}
 	tab := New(5, 1, false)
 	if err := tab.SetLevel(1, arena, starts); err != nil {
 		t.Fatal(err)
@@ -188,11 +178,41 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if _, cnt := tab.Rec(1, 3).Packed().At(0); cnt != (u128.Uint128{Hi: 2, Lo: 3}) {
 		t.Fatalf("hi bits lost: %v", cnt)
 	}
-	if tab.Rec(1, 0).Len() != p0.Len() {
+	if tab.Rec(1, 0).Len() != p0.Len() || tab.Rec(1, 0).Total() != u128.From64(15) {
 		t.Fatal("record 0 lost through SetLevel")
+	}
+	if tab.Rec(1, 1).Len() != 0 {
+		t.Fatal("unflushed record should load empty")
 	}
 	if ds.Size() == 0 {
 		t.Error("spill size should be positive")
+	}
+}
+
+// TestDiskStoreCopyIntoAllocs: the merge reads each spill file straight
+// into its slice of the level arena, with no read buffer of its own.
+func TestDiskStoreCopyIntoAllocs(t *testing.T) {
+	ds, err := NewDiskStoreBuffered(t.TempDir(), 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	var p Pairs
+	p.FromMap(sampleMap())
+	enc := AppendRecord(nil, &p)
+	if err := ds.Flush(enc); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, ds.Size())
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := ds.CopyInto(dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("CopyInto allocates %.1f times per call, want 0", allocs)
+	}
+	if !bytes.Equal(dst, enc) {
+		t.Error("CopyInto read back different bytes")
 	}
 }
 
