@@ -6,15 +6,16 @@
 
 GO ?= go
 
-# Bench noise floor. The regression-gated family (the engine, table-open,
-# smart-star synthesis and sharded-build benches) runs time-based with
+# Bench noise floor. The regression-gated family (the engine, signatures,
+# run-to-precision, table-open, smart-star synthesis and sharded-build
+# benches) runs time-based with
 # -count=5 under an explicit GOMAXPROCS, and the compare gate takes the
 # per-metric best of the five runs — one preempted run on a shared runner
 # cannot fail the gate. BENCH_TOLERANCE absorbs what remains (runner-to-runner CPU
 # variance); allocation metrics are machine-independent, so real
 # regressions still surface well inside it.
 BENCH_GOMAXPROCS ?= 1
-BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen|BenchmarkSmartSynthesis|BenchmarkBuildSharded)
+BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen|BenchmarkSmartSynthesis|BenchmarkBuildSharded|BenchmarkSignatures|BenchmarkRunToPrecision)
 BENCH_GATED_TIME ?= 400ms
 BENCH_TOLERANCE  ?= 60
 
@@ -119,8 +120,10 @@ quickstart:
 # gauge visible in /metrics), run a seeded count twice asserting the
 # repeat is a byte-identical cache hit (visible in /metrics), post a
 # batch, fetch per-node signatures, run a capped run-to-precision count
-# asserting its certificate (and both new counters in /metrics), and keep
-# the legacy /count + /stats aliases honest (needs curl + jq). One copy of
+# asserting its certificate (and both new counters in /metrics), check a
+# non-canonical target motif answers 400 bad_request, and keep the legacy
+# /count + /stats aliases honest (needs curl + jq). The server block runs
+# under `set -e`, so every assertion in it fails the target. One copy of
 # the script — the workflow step calls this target.
 serve-smoke:
 	$(GO) build -o /tmp/motivo-smoke ./cmd/motivo
@@ -131,7 +134,7 @@ serve-smoke:
 	/tmp/motivo-smoke serve -graph er=/tmp/motivo-smoke-er.txt:/tmp/motivo-smoke-er.tbl \
 		-graph ba=/tmp/motivo-smoke-ba.txt:/tmp/motivo-smoke-ba.tbl \
 		-cache-size 64 -max-inflight 8 -addr 127.0.0.1:18080 & \
-	pid=$$!; trap 'kill $$pid 2>/dev/null || true' EXIT; \
+	set -e; pid=$$!; trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 50); do curl -fsS http://127.0.0.1:18080/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	curl -fsS http://127.0.0.1:18080/v1/graphs \
 		| jq -e '(.graphs | length) == 2 and .graphs[0].name == "ba" and .graphs[1].name == "er" and (.graphs | all(.resident)) and (.graphs | all(.mappedBytes > 0))'; \
@@ -156,6 +159,10 @@ serve-smoke:
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_signature_queries_total 1$$'; \
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_precision_queries_total 1$$'; \
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_precision_met_total'; \
+	status=$$(curl -sS -o /tmp/motivo-smoke-bad.json -w '%{http_code}' -X POST http://127.0.0.1:18080/v1/graphs/er/count \
+		-d '{"epsilon":0.5,"targetMotif":"gffff"}'); \
+	test "$$status" = 400; \
+	jq -e '.code == "bad_request"' /tmp/motivo-smoke-bad.json; \
 	curl -fsS -X POST http://127.0.0.1:18080/count -d '{"samples":3000,"seed":3}' \
 		| jq -e '.k == 4 and (has("graph") | not)'; \
 	curl -fsS http://127.0.0.1:18080/stats | jq -e '.k == 4 and .openMs > 0'

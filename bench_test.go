@@ -847,9 +847,9 @@ func BenchmarkEngineQueryAGS(b *testing.B) {
 }
 
 // BenchmarkSignatures tracks the per-node signatures path: the same AGS
-// sampling as BenchmarkEngineQueryAGS plus the per-draw vertex-incidence
-// streaming and the final vector assembly. Ungated: a new family has no
-// committed baseline yet.
+// sampling run as BenchmarkEngineQueryAGS (Engine.draw) plus the per-draw
+// vertex-incidence streaming and the final vector assembly. Gated
+// (BENCH_GATED in the Makefile).
 func BenchmarkSignatures(b *testing.B) {
 	g, path := servingTable(b)
 	eng, err := core.Open(g, path)
@@ -868,9 +868,10 @@ func BenchmarkSignatures(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/query")
 }
 
-// BenchmarkRunToPrecision tracks run-to-precision AGS: epochs of drawing
-// plus the periodic Theorem 3 certification check until the loose target
-// certifies (or the cap stops the run). Ungated: new family, no baseline.
+// BenchmarkRunToPrecision tracks run-to-precision AGS through the engine's
+// one sampling run: epochs of drawing plus the periodic Theorem 3
+// certification check until the loose target certifies (or the cap stops
+// the run). Gated (BENCH_GATED in the Makefile).
 func BenchmarkRunToPrecision(b *testing.B) {
 	g, path := servingTable(b)
 	eng, err := core.Open(g, path)

@@ -193,17 +193,15 @@ type Config struct {
 	MapTable MapMode
 }
 
-// Result aggregates the estimates of a run.
+// Result aggregates the estimates of a one-shot run: the engine query
+// result of each coloring, combined, plus what acquiring the engines cost.
 type Result struct {
-	// Counts estimates the number of induced occurrences per graphlet.
-	Counts estimate.Counts
-	// Frequencies is Counts normalized to sum to 1.
-	Frequencies estimate.Counts
-	// Samples is the total number of samples taken across colorings.
-	Samples int
-	// BuildTime and SampleTime aggregate phase durations across colorings.
-	BuildTime  time.Duration
-	SampleTime time.Duration
+	// QueryResult holds the estimates averaged over colorings and their
+	// frequencies; Samples and SampleTime sum over colorings, while Covered
+	// and Achieved report the last coloring.
+	QueryResult
+	// BuildTime aggregates the build-up phase durations across colorings.
+	BuildTime time.Duration
 	// OpenTime is the table open + engine construction cost of a TablePath
 	// run (zero when the table was built in-memory): opening a persisted
 	// table is not a build, so it is reported separately from BuildTime.
@@ -212,11 +210,6 @@ type Result struct {
 	BuildStats []*build.Stats
 	// TableBytes is the compact count-table payload of the last coloring.
 	TableBytes int64
-	// Covered is the number of AGS-covered graphlets (last coloring).
-	Covered int
-	// Achieved is the precision certificate of a run-to-precision run (nil
-	// for fixed-budget runs).
-	Achieved *Certificate
 }
 
 // validate checks the parts of the config shared by Count and BuildTable.
@@ -230,6 +223,16 @@ func (cfg Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// validateRun checks a one-shot Count or Signatures run before any build:
+// the shared config checks, then the sampling fields through the engine's
+// own Query.Validate.
+func (cfg Config) validateRun() error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	return cfg.query(cfg.Seed).Validate()
 }
 
 // colorFor generates the coloring of run `run` — the one deterministic
@@ -301,10 +304,34 @@ func (cfg Config) query(seed int64) Query {
 	}
 }
 
-// precisionMode reports whether any run-to-precision field of the config
-// is set (mirrors Query.PrecisionMode).
-func (cfg Config) precisionMode() bool {
-	return cfg.Epsilon != 0 || cfg.Delta != 0 || cfg.MaxSamples != 0 || cfg.TargetMotif != (graphlet.Code{})
+// engine acquires the engine a one-shot run queries: it opens TablePath,
+// or colors g for coloring run and builds that coloring's table (cat and
+// sig are shared across the engines of a multi-coloring run). stats is
+// nil for an opened table.
+func (cfg Config) engine(ctx context.Context, g *graph.Graph, run int, cat *treelet.Catalog, sig *estimate.Sigma) (*Engine, *build.Stats, error) {
+	if cfg.TablePath == "" {
+		col := colorFor(g, cfg, run)
+		tab, stats, err := buildFor(ctx, g, cfg, col, cat)
+		if err != nil {
+			return nil, nil, err
+		}
+		eng, err := newEngine(g, tab, col, cat, sig)
+		return eng, stats, err
+	}
+	if cfg.Colorings > 1 {
+		return nil, nil, fmt.Errorf("core: TablePath requires Colorings == 1 (a saved table captures one coloring), got %d", cfg.Colorings)
+	}
+	if cfg.BiasedLambda > 0 {
+		return nil, nil, fmt.Errorf("core: BiasedLambda has no effect with TablePath (the saved coloring is used); unset one")
+	}
+	eng, err := OpenMode(g, cfg.TablePath, cfg.MapTable)
+	if err != nil {
+		return nil, nil, err
+	}
+	if eng.K() != cfg.K {
+		return nil, nil, fmt.Errorf("core: table %s was built for k=%d, run wants k=%d", cfg.TablePath, eng.K(), cfg.K)
+	}
+	return eng, nil, nil
 }
 
 // Count runs the motivo pipeline on g.
@@ -316,88 +343,36 @@ func Count(g *graph.Graph, cfg Config) (*Result, error) {
 // phase and the sampling loops check the context periodically, so a
 // deadline or cancellation stops the run promptly.
 //
-// It is a thin open-query-close over Engine: TablePath mode opens an
-// engine from the file and serves one query through it; the in-memory mode
-// builds one engine per coloring. Either way the sampling code path is
-// Engine.Count, so a one-shot run is bit-identical to the same query
-// against a long-lived engine at the same seed.
+// It is a thin acquire-query loop over Engine: for each coloring,
+// Config.engine opens TablePath or builds that coloring's table, and
+// Engine.Count serves the coloring's query; the estimates are averaged
+// over colorings. A one-shot run is therefore bit-identical to the same
+// query against a long-lived engine at the same seed.
 func CountContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validateRun(); err != nil {
 		return nil, err
 	}
 	if cfg.Colorings < 1 {
 		return nil, fmt.Errorf("core: Colorings must be ≥ 1, got %d", cfg.Colorings)
 	}
-	if cfg.precisionMode() {
-		// The per-query invariants (AGS-only, positive ε, δ in (0,1)) are
-		// checked by Query.Validate inside Engine.Count.
-		if cfg.Colorings != 1 {
-			return nil, fmt.Errorf("core: run-to-precision requires Colorings == 1 (the certificate covers one coloring), got %d", cfg.Colorings)
-		}
-		if cfg.SamplesPerColoring != 0 {
-			return nil, fmt.Errorf("core: SamplesPerColoring and run-to-precision are mutually exclusive")
-		}
-	} else if cfg.SamplesPerColoring < 1 {
-		return nil, fmt.Errorf("core: SamplesPerColoring must be ≥ 1, got %d", cfg.SamplesPerColoring)
+	if cfg.query(cfg.Seed).PrecisionMode() && cfg.Colorings != 1 {
+		return nil, fmt.Errorf("core: run-to-precision requires Colorings == 1 (the certificate covers one coloring), got %d", cfg.Colorings)
 	}
-	if err := ValidateSampleWorkers(cfg.SampleWorkers); err != nil {
-		return nil, err
-	}
-	cover := cfg.CoverThreshold
-	if cover == 0 {
-		cover = 1000
-	}
-	if err := ValidateCoverThreshold(cover); err != nil {
-		return nil, err
-	}
-	res := &Result{Counts: make(estimate.Counts)}
-
-	if cfg.TablePath != "" {
-		if cfg.Colorings != 1 {
-			return nil, fmt.Errorf("core: TablePath requires Colorings == 1 (a saved table captures one coloring), got %d", cfg.Colorings)
-		}
-		if cfg.BiasedLambda > 0 {
-			return nil, fmt.Errorf("core: BiasedLambda has no effect with TablePath (the saved coloring is used); unset one")
-		}
-		eng, err := OpenMode(g, cfg.TablePath, cfg.MapTable)
-		if err != nil {
-			return nil, err
-		}
-		if eng.K() != cfg.K {
-			return nil, fmt.Errorf("core: table %s was built for k=%d, run wants k=%d", cfg.TablePath, eng.K(), cfg.K)
-		}
-		res.OpenTime = eng.OpenTime()
-		res.TableBytes = eng.TableBytes()
-		qres, err := eng.Count(ctx, cfg.query(cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
-		res.Counts = qres.Counts
-		res.Frequencies = qres.Frequencies
-		res.Samples = qres.Samples
-		res.Covered = qres.Covered
-		res.Achieved = qres.Achieved
-		res.SampleTime = qres.SampleTime
-		return res, nil
-	}
-
+	res := &Result{QueryResult: QueryResult{Counts: make(estimate.Counts)}}
 	cat := treelet.NewCatalog(cfg.K)
 	sig := estimate.NewSigma(cfg.K)
 	for run := 0; run < cfg.Colorings; run++ {
-		seed := cfg.Seed + int64(run)*7919
-		col := colorFor(g, cfg, run)
-		tab, stats, err := buildFor(ctx, g, cfg, col, cat)
+		eng, stats, err := cfg.engine(ctx, g, run, cat, sig)
 		if err != nil {
 			return nil, err
 		}
-		res.BuildTime += stats.Duration
-		res.BuildStats = append(res.BuildStats, stats)
-		res.TableBytes = stats.TableBytes
-		eng, err := newEngine(g, tab, col, cat, sig)
-		if err != nil {
-			return nil, err
+		if stats != nil {
+			res.BuildTime += stats.Duration
+			res.BuildStats = append(res.BuildStats, stats)
 		}
-		qres, err := eng.Count(ctx, cfg.query(seed))
+		st := eng.Stats()
+		res.OpenTime, res.TableBytes = st.OpenTime, st.TableBytes
+		qres, err := eng.Count(ctx, cfg.query(cfg.Seed+int64(run)*7919))
 		if err != nil {
 			return nil, err
 		}
@@ -422,9 +397,8 @@ func CountContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, err
 // sequence), while the signatures path pins streams so its vectors are
 // bit-identical at any worker count. observe, when non-nil, receives every
 // draw with its stream index and sampled vertices (scratch slice — copy to
-// retain); it is never called concurrently for the same stream index. The
-// context is checked every 1024 draws; on cancellation the partial tallies
-// are discarded and ctx.Err() returned.
+// retain); it is never called concurrently for the same stream index. On
+// cancellation the partial tallies are discarded and ctx.Err() returned.
 func naiveTallies(ctx context.Context, urn *sample.Urn, budget, workers, streams int, rng *rand.Rand, observe func(stream int, code graphlet.Code, nodes []int32)) (map[graphlet.Code]int64, error) {
 	if streams > budget {
 		// With more streams than samples the per-stream share rounds to
@@ -434,24 +408,8 @@ func naiveTallies(ctx context.Context, urn *sample.Urn, budget, workers, streams
 	}
 	tallies := make(map[graphlet.Code]int64)
 	if streams <= 1 {
-		if err := ctx.Err(); err != nil {
+		if err := drawStream(ctx, urn, budget, 0, rng, observe, tallies); err != nil {
 			return nil, err
-		}
-		i, canceled := 0, false
-		urn.SampleBatch(rng, budget, func(code graphlet.Code, nodes []int32) bool {
-			tallies[code]++
-			if observe != nil {
-				observe(0, code, nodes)
-			}
-			i++
-			if i&1023 == 0 && ctx.Err() != nil {
-				canceled = true
-				return false
-			}
-			return true
-		})
-		if canceled {
-			return nil, ctx.Err()
 		}
 		return tallies, nil
 	}
@@ -478,24 +436,11 @@ func naiveTallies(ctx context.Context, urn *sample.Urn, budget, workers, streams
 			defer wg.Done()
 			sem <- struct{}{} // at most `workers` streams sample at once
 			defer func() { <-sem }()
-			clone := urn.Clone()
+			// local stays on this goroutine's stack: drawStream fills the
+			// caller's map instead of returning one.
 			local := make(map[graphlet.Code]int64)
-			r := rand.New(rand.NewSource(seed))
-			i, canceled := 0, false
-			clone.SampleBatch(r, n, func(code graphlet.Code, nodes []int32) bool {
-				local[code]++
-				if observe != nil {
-					observe(w, code, nodes)
-				}
-				i++
-				if i&1023 == 0 && ctx.Err() != nil {
-					canceled = true
-					return false
-				}
-				return true
-			})
-			if canceled {
-				return // partial stream tallies are discarded below
+			if drawStream(ctx, urn.Clone(), n, w, rand.New(rand.NewSource(seed)), observe, local) != nil {
+				return // canceled: ctx.Err() is reported below
 			}
 			mu.Lock()
 			for c, v := range local {
@@ -509,4 +454,31 @@ func naiveTallies(ctx context.Context, urn *sample.Urn, budget, workers, streams
 		return nil, err
 	}
 	return tallies, nil
+}
+
+// drawStream is the one naive draw loop: n samples from urn with rng,
+// tallied per motif into tallies and passed to observe as stream
+// `stream`. The context is checked before the first draw and every 1024
+// draws after it; on cancellation it returns ctx.Err().
+func drawStream(ctx context.Context, urn *sample.Urn, n, stream int, rng *rand.Rand, observe func(stream int, code graphlet.Code, nodes []int32), tallies map[graphlet.Code]int64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	i, canceled := 0, false
+	urn.SampleBatch(rng, n, func(code graphlet.Code, nodes []int32) bool {
+		tallies[code]++
+		if observe != nil {
+			observe(stream, code, nodes)
+		}
+		i++
+		if i&1023 == 0 && ctx.Err() != nil {
+			canceled = true
+			return false
+		}
+		return true
+	})
+	if canceled {
+		return ctx.Err()
+	}
+	return nil
 }

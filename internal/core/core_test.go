@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -325,10 +326,58 @@ func TestTablePathValidation(t *testing.T) {
 		if _, err := Count(g, tc.cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+		if _, err := Signatures(g, tc.cfg, nil); err == nil {
+			t.Errorf("%s: Signatures: expected error", tc.name)
+		}
 	}
 	// Node-count mismatch: same table, different graph.
 	other := gen.ErdosRenyi(40, 120, 73)
-	if _, err := Count(other, Config{K: 4, Colorings: 1, SamplesPerColoring: 10, TablePath: path}); err == nil {
+	mismatch := Config{K: 4, Colorings: 1, SamplesPerColoring: 10, TablePath: path}
+	if _, err := Count(other, mismatch); err == nil {
 		t.Error("node-count mismatch: expected error")
+	}
+	if _, err := Signatures(other, mismatch, nil); err == nil {
+		t.Error("node-count mismatch: Signatures: expected error")
+	}
+}
+
+// TestOneShotSignaturesMatchEngine: the one-shot Signatures acquires its
+// engine like Count does — building run 0 of the config, or opening
+// TablePath — and then answers exactly what Engine.Signatures answers at
+// the same seed.
+func TestOneShotSignaturesMatchEngine(t *testing.T) {
+	g := gen.ErdosRenyi(70, 210, 79)
+	eng, path := engineFixture(t, g, 4, 83)
+	for _, strat := range []Strategy{Naive, AGS} {
+		cfg := Config{
+			K: 4, Colorings: 1, SamplesPerColoring: 3000,
+			Strategy: strat, CoverThreshold: 150, Seed: 83, SampleWorkers: 2,
+		}
+		want, err := eng.Signatures(context.Background(), cfg.query(cfg.Seed), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.SampleTime = 0
+		loaded := cfg
+		loaded.TablePath = path
+		for _, run := range []Config{cfg, loaded} {
+			got, err := Signatures(g, run, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.TablePath == "" && (got.BuildTime <= 0 || got.OpenTime != 0) {
+				t.Errorf("%v build mode: BuildTime=%v OpenTime=%v", strat, got.BuildTime, got.OpenTime)
+			}
+			if run.TablePath != "" && (got.OpenTime <= 0 || got.BuildTime != 0) {
+				t.Errorf("%v TablePath mode: BuildTime=%v OpenTime=%v", strat, got.BuildTime, got.OpenTime)
+			}
+			if got.TableBytes != eng.Stats().TableBytes {
+				t.Errorf("%v (table %q): TableBytes=%d, engine holds %d", strat, run.TablePath, got.TableBytes, eng.Stats().TableBytes)
+			}
+			got.SampleTime, got.BuildTime, got.OpenTime, got.TableBytes = 0, 0, 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v (table %q): one-shot Signatures differs from Engine.Signatures", strat, run.TablePath)
+			}
+		}
 	}
 }

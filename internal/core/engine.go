@@ -72,7 +72,10 @@ func OpenMode(g *graph.Graph, tablePath string, mode MapMode) (*Engine, error) {
 	if col == nil {
 		return nil, fmt.Errorf("core: table %s carries no coloring section; rebuild it with BuildTable", tablePath)
 	}
-	eng, err := buildEngine(g, tab, col)
+	if tab.K < 2 || tab.K > treelet.MaxK {
+		return nil, fmt.Errorf("core: table %s: engine needs a table with k in [2,%d]", tablePath, treelet.MaxK)
+	}
+	eng, err := newEngine(g, tab, col, treelet.NewCatalog(tab.K), estimate.NewSigma(tab.K))
 	if err != nil {
 		return nil, fmt.Errorf("core: table %s: %w", tablePath, err)
 	}
@@ -99,30 +102,11 @@ func openTable(path string, mode MapMode) (*table.Table, *coloring.Coloring, err
 	return nil, nil, fmt.Errorf("core: unknown map mode %d", int(mode))
 }
 
-// NewEngine prepares an Engine over an already-built table — the in-memory
-// construction path shared by Count and by callers that run build.Run
-// themselves.
-func NewEngine(g *graph.Graph, tab *table.Table, col *coloring.Coloring) (*Engine, error) {
-	eng, err := buildEngine(g, tab, col)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return eng, nil
-}
-
-// buildEngine validates and constructs without the "core:" prefix so each
-// exported entry point adds its own context exactly once.
-func buildEngine(g *graph.Graph, tab *table.Table, col *coloring.Coloring) (*Engine, error) {
-	if tab == nil || tab.K < 2 || tab.K > treelet.MaxK {
-		return nil, fmt.Errorf("engine needs a table with k in [2,%d]", treelet.MaxK)
-	}
-	cat := treelet.NewCatalog(tab.K)
-	return newEngine(g, tab, col, cat, estimate.NewSigma(tab.K))
-}
-
-// newEngine is buildEngine with the catalog and σ cache supplied by the
-// caller, so Count can share one of each across its γ colorings. Errors
-// carry no "core:" prefix; exported callers add it.
+// newEngine validates a table against its coloring and host graph and
+// builds the master urn — the one constructor behind OpenMode and
+// Config.engine. The catalog and σ cache come from the caller, so a
+// multi-coloring Count shares one of each across its γ engines. Errors
+// carry no "core:" prefix; callers add it.
 func newEngine(g *graph.Graph, tab *table.Table, col *coloring.Coloring, cat *treelet.Catalog, sig *estimate.Sigma) (*Engine, error) {
 	if col == nil || col.K != tab.K {
 		return nil, fmt.Errorf("coloring has %d colors, table wants %d", colorK(col), tab.K)
@@ -176,13 +160,12 @@ type EngineStats struct {
 	HeapBytes   int64
 	MappedBytes int64
 	// OpenTime is how long Open spent loading and validating the table and
-	// building the master urn (zero for engines built via NewEngine).
+	// building the master urn (zero for engines a one-shot run built).
 	OpenTime time.Duration
 }
 
 // Stats reports the engine's shape and cost in a single struct — the one
-// metadata call the serving layers read instead of the K/OpenTime/
-// TableBytes accessor trio.
+// metadata call the serving layers and the one-shot runs read.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		K:           e.tab.K,
@@ -194,13 +177,6 @@ func (e *Engine) Stats() EngineStats {
 		OpenTime:    e.openTime,
 	}
 }
-
-// OpenTime reports how long Open spent loading and validating the table
-// and building the master urn (zero for engines built via NewEngine).
-func (e *Engine) OpenTime() time.Duration { return e.openTime }
-
-// TableBytes is the packed in-memory count-table payload the engine holds.
-func (e *Engine) TableBytes() int64 { return e.tab.Bytes() }
 
 // shapes prepares the AGS per-shape urns on first use.
 func (e *Engine) shapes() (*ags.ShapeSet, error) {
@@ -257,41 +233,55 @@ func (q Query) PrecisionMode() bool {
 	return q.Epsilon != 0 || q.Delta != 0 || q.MaxSamples != 0 || q.TargetMotif != (graphlet.Code{})
 }
 
+// QueryError marks an error caused by the query itself — a malformed
+// budget or precision request, a target motif the engine cannot sample, a
+// node outside the host graph — rather than by the engine or its table.
+// Serving layers answer it as a bad request; its message is the check's.
+type QueryError struct{ Err error }
+
+func (e *QueryError) Error() string { return e.Err.Error() }
+
+func (e *QueryError) Unwrap() error { return e.Err }
+
+func queryErrorf(format string, args ...any) error {
+	return &QueryError{fmt.Errorf(format, args...)}
+}
+
 // Validate checks the query's invariants: a known strategy, a positive
 // sampling budget (or a well-formed precision request), a bounded worker
 // count, and a positive cover threshold (0 meaning "the paper's default" is
 // allowed). It is the single validation path shared by the engine itself,
-// the registry, the HTTP layer and the CLI — a query that passes here is
-// servable as-is.
+// the one-shot runs, the registry, the HTTP layer and the CLI — a query
+// that passes here is servable as-is. Its errors are *QueryError.
 func (q Query) Validate() error {
 	if q.Strategy != Naive && q.Strategy != AGS {
-		return fmt.Errorf("core: unknown strategy %d", int(q.Strategy))
+		return queryErrorf("core: unknown strategy %d", int(q.Strategy))
 	}
 	if q.PrecisionMode() {
 		if q.Strategy != AGS {
-			return fmt.Errorf("core: run-to-precision requires the ags strategy")
+			return queryErrorf("core: run-to-precision requires the ags strategy")
 		}
 		if q.Samples != 0 {
-			return fmt.Errorf("core: a fixed Samples budget and run-to-precision are mutually exclusive")
+			return queryErrorf("core: a fixed Samples budget and run-to-precision are mutually exclusive")
 		}
 		if !(q.Epsilon > 0) || math.IsInf(q.Epsilon, 1) {
-			return fmt.Errorf("core: precision epsilon must be positive and finite, got %v", q.Epsilon)
+			return queryErrorf("core: precision epsilon must be positive and finite, got %v", q.Epsilon)
 		}
 		if !(q.Delta > 0 && q.Delta < 1) {
-			return fmt.Errorf("core: precision delta must be in (0, 1), got %v", q.Delta)
+			return queryErrorf("core: precision delta must be in (0, 1), got %v", q.Delta)
 		}
 		if q.MaxSamples < 0 {
-			return fmt.Errorf("core: max samples must be ≥ 0, got %d", q.MaxSamples)
+			return queryErrorf("core: max samples must be ≥ 0, got %d", q.MaxSamples)
 		}
 	} else if q.Samples < 1 {
-		return fmt.Errorf("core: samples must be ≥ 1, got %d", q.Samples)
+		return queryErrorf("core: samples must be ≥ 1, got %d", q.Samples)
 	}
 	if err := ValidateSampleWorkers(q.SampleWorkers); err != nil {
-		return err
+		return &QueryError{err}
 	}
 	if q.CoverThreshold != 0 {
 		if err := ValidateCoverThreshold(q.CoverThreshold); err != nil {
-			return err
+			return &QueryError{err}
 		}
 	}
 	return nil
@@ -305,10 +295,10 @@ func (e *Engine) validateTarget(q Query) error {
 		return nil
 	}
 	if !graphlet.IsConnected(e.K(), q.TargetMotif) {
-		return fmt.Errorf("core: target motif %v is not a connected %d-graphlet", q.TargetMotif, e.K())
+		return queryErrorf("core: target motif %v is not a connected %d-graphlet", q.TargetMotif, e.K())
 	}
 	if graphlet.Canonical(e.K(), q.TargetMotif) != q.TargetMotif {
-		return fmt.Errorf("core: target motif %v is not in canonical form", q.TargetMotif)
+		return queryErrorf("core: target motif %v is not in canonical form", q.TargetMotif)
 	}
 	return nil
 }
@@ -330,68 +320,98 @@ type QueryResult struct {
 	SampleTime time.Duration
 }
 
-// Count serves one query: clone the master urn, derive the query's RNG
-// stream from its seed, sample, estimate. It honors ctx — cancellation or
-// a deadline stops the sampling loops promptly — and is safe to call from
-// any number of goroutines concurrently.
+// Count serves one query: one sampling run (draw) on an urn clone with the
+// query's own RNG stream, then the estimate — the naive estimator over the
+// run's tallies, or the estimates AGS computed as it sampled. It honors
+// ctx — cancellation or a deadline stops the sampling loops promptly — and
+// is safe to call from any number of goroutines concurrently. Its draw
+// sequence follows q.SampleWorkers.
 func (e *Engine) Count(ctx context.Context, q Query) (*QueryResult, error) {
-	if err := q.Validate(); err != nil {
+	res, tallies, err := e.draw(ctx, q, 0, nil)
+	if err != nil {
 		return nil, err
+	}
+	if res.Counts == nil { // naive: estimate from the tallies
+		start := time.Now()
+		res.Counts, err = estimate.Naive(tallies, int64(res.Samples), e.urn.Total().Float64(), e.sig, e.col.PColorful)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		res.SampleTime += time.Since(start)
+	}
+	res.Frequencies = estimate.Frequencies(res.Counts)
+	return &res, nil
+}
+
+// draw is the one sampling run behind Count and Signatures. It validates
+// q against the engine, clones the master urn, derives the query's RNG
+// stream from its seed and runs the strategy, returning the run's
+// samples, coverage, certificate and time, its raw per-motif tallies and,
+// for AGS, its estimates in Counts (naive leaves Counts nil). streams fixes
+// the naive decomposition (0 follows SampleWorkers; AGS uses it as its
+// virtual worker count) and observe, when non-nil, receives every draw's
+// vertices with its stream index. An empty urn draws nothing: every
+// graphlet estimates to zero and a precision query certifies nothing.
+func (e *Engine) draw(ctx context.Context, q Query, streams int, observe func(stream int, code graphlet.Code, nodes []int32)) (QueryResult, map[graphlet.Code]int64, error) {
+	if err := q.Validate(); err != nil {
+		return QueryResult{}, nil, err
 	}
 	if err := e.validateTarget(q); err != nil {
-		return nil, err
-	}
-	cover := q.CoverThreshold
-	if cover == 0 {
-		cover = 1000
+		return QueryResult{}, nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return QueryResult{}, nil, err
 	}
-	res := &QueryResult{Counts: make(estimate.Counts)}
 	if e.urn.Empty() {
 		// An unlucky coloring of a tiny graph: every graphlet estimates to
 		// zero, which is what the estimator semantics prescribe. A precision
 		// query still reports a certificate — an empty urn certifies nothing.
+		res := QueryResult{Counts: make(estimate.Counts)}
 		if q.PrecisionMode() {
 			res.Achieved = &Certificate{Eps: math.Inf(1), Delta: q.Delta}
 		}
-		res.Frequencies = estimate.Frequencies(res.Counts)
-		return res, nil
+		return res, make(map[graphlet.Code]int64), nil
 	}
 	urn := e.urn.Clone()
 	if q.BufferThreshold > 0 {
 		urn.BufferThreshold = q.BufferThreshold
 	}
+	var (
+		ss      *ags.ShapeSet
+		res     QueryResult
+		tallies map[graphlet.Code]int64
+		err     error
+	)
 	// Prepare the (lazily built, engine-wide) AGS shape urns before the
 	// sampling clock starts: the first AGS query must not report one-time
 	// engine setup as its own sampling time.
-	var ss *ags.ShapeSet
 	if q.Strategy == AGS {
-		var err error
 		if ss, err = e.shapes(); err != nil {
-			return nil, err
+			return QueryResult{}, nil, err
 		}
 	}
 	rng := rand.New(rand.NewSource(q.Seed ^ 0x5DEECE66D))
 	start := time.Now()
 	switch q.Strategy {
 	case Naive:
-		tallies, err := naiveTallies(ctx, urn, q.Samples, q.SampleWorkers, q.SampleWorkers, rng, nil)
-		if err != nil {
-			return nil, err
+		if streams == 0 {
+			streams = q.SampleWorkers
 		}
-		res.Counts, err = estimate.Naive(tallies, int64(q.Samples), urn.Total().Float64(), e.sig, e.col.PColorful)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+		if tallies, err = naiveTallies(ctx, urn, q.Samples, q.SampleWorkers, streams, rng, observe); err != nil {
+			return QueryResult{}, nil, err
 		}
 		res.Samples = q.Samples
 	case AGS:
 		aopts := ags.Options{
-			CoverThreshold: cover,
+			CoverThreshold: q.CoverThreshold,
 			Rng:            rng,
 			Workers:        q.SampleWorkers,
+			VirtualWorkers: streams,
+			Observe:        observe,
 			Shapes:         ss,
+		}
+		if aopts.CoverThreshold == 0 {
+			aopts.CoverThreshold = 1000
 		}
 		if q.PrecisionMode() {
 			aopts.Precision = &ags.Precision{
@@ -405,16 +425,14 @@ func (e *Engine) Count(ctx context.Context, q Query) (*QueryResult, error) {
 		}
 		out, err := ags.Run(ctx, urn, aopts)
 		if err != nil {
-			return nil, err
+			return QueryResult{}, nil, err
 		}
+		tallies = out.Tallies
 		res.Counts = out.Estimates
 		res.Samples = out.Samples
 		res.Covered = out.Covered
 		res.Achieved = out.Achieved
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %d", q.Strategy)
 	}
 	res.SampleTime = time.Since(start)
-	res.Frequencies = estimate.Frequencies(res.Counts)
-	return res, nil
+	return res, tallies, nil
 }

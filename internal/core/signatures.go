@@ -3,12 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 	"time"
 
-	"repro/internal/ags"
 	"repro/internal/estimate"
 	"repro/internal/graph"
 	"repro/internal/graphlet"
@@ -161,146 +158,58 @@ func (a *sigAccumulator) assemble(res *SignaturesResult, requested []int32) {
 	}
 }
 
-// Signatures serves one per-node graphlet signature query: it samples
-// exactly like Count (same strategies, budgets and precision mode) but
-// streams every draw's vertex incidence into per-node motif-count vectors.
-// nodes, when non-empty, restricts the vectors to those vertices (the
-// sampling itself is unchanged); an empty or nil slice returns every node
-// touched by at least one sample.
+// Signatures serves one per-node graphlet signature query: the same
+// sampling run as Count (draw — same strategies, budgets and precision
+// mode), with every draw's vertex incidence streamed into per-node
+// motif-count vectors instead of an estimate. nodes, when non-empty,
+// restricts the vectors to those vertices (the sampling itself is
+// unchanged); an empty or nil slice returns every node touched by at least
+// one sample.
 //
 // Signatures pins its stream decomposition to SignatureStreams, so for a
 // fixed seed the vectors are bit-identical at any SampleWorkers count —
 // unlike Count, whose draw sequence follows the worker count.
 func (e *Engine) Signatures(ctx context.Context, q Query, nodes []int32) (*SignaturesResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := e.validateTarget(q); err != nil {
-		return nil, err
-	}
 	if len(nodes) == 0 {
 		nodes = nil // empty and nil both mean "all touched nodes"
 	}
 	for _, v := range nodes {
 		if v < 0 || int(v) >= e.g.NumNodes() {
-			return nil, fmt.Errorf("core: node %d out of range [0, %d)", v, e.g.NumNodes())
+			return nil, queryErrorf("core: node %d out of range [0, %d)", v, e.g.NumNodes())
 		}
 	}
-	cover := q.CoverThreshold
-	if cover == 0 {
-		cover = 1000
-	}
-	if err := ctx.Err(); err != nil {
+	acc := newSigAccumulator(nodes, SignatureStreams)
+	run, tallies, err := e.draw(ctx, q, SignatureStreams, acc.observe)
+	if err != nil {
 		return nil, err
 	}
-	res := &SignaturesResult{Tallies: make(map[graphlet.Code]int64)}
-	acc := newSigAccumulator(nodes, SignatureStreams)
-	if e.urn.Empty() {
-		if q.PrecisionMode() {
-			res.Achieved = &Certificate{Eps: math.Inf(1), Delta: q.Delta}
-		}
-		acc.assemble(res, nodes)
-		return res, nil
+	res := &SignaturesResult{
+		Tallies:    tallies,
+		Samples:    run.Samples,
+		Covered:    run.Covered,
+		Achieved:   run.Achieved,
+		SampleTime: run.SampleTime,
 	}
-	urn := e.urn.Clone()
-	if q.BufferThreshold > 0 {
-		urn.BufferThreshold = q.BufferThreshold
-	}
-	var ss *ags.ShapeSet
-	if q.Strategy == AGS {
-		var err error
-		if ss, err = e.shapes(); err != nil {
-			return nil, err
-		}
-	}
-	rng := rand.New(rand.NewSource(q.Seed ^ 0x5DEECE66D))
-	start := time.Now()
-	switch q.Strategy {
-	case Naive:
-		tallies, err := naiveTallies(ctx, urn, q.Samples, q.SampleWorkers, SignatureStreams, rng, acc.observe)
-		if err != nil {
-			return nil, err
-		}
-		res.Tallies = tallies
-		res.Samples = q.Samples
-	case AGS:
-		aopts := ags.Options{
-			CoverThreshold: cover,
-			Rng:            rng,
-			Workers:        q.SampleWorkers,
-			VirtualWorkers: SignatureStreams,
-			Observe:        acc.observe,
-			Shapes:         ss,
-		}
-		if q.PrecisionMode() {
-			aopts.Precision = &ags.Precision{
-				Eps:        q.Epsilon,
-				Delta:      q.Delta,
-				Target:     q.TargetMotif,
-				MaxSamples: q.MaxSamples,
-			}
-		} else {
-			aopts.Budget = q.Samples
-		}
-		out, err := ags.Run(ctx, urn, aopts)
-		if err != nil {
-			return nil, err
-		}
-		res.Tallies = out.Tallies
-		res.Samples = out.Samples
-		res.Covered = out.Covered
-		res.Achieved = out.Achieved
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %d", q.Strategy)
-	}
-	res.SampleTime = time.Since(start)
 	acc.assemble(res, nodes)
 	return res, nil
 }
 
 // Signatures is the one-shot form of Engine.Signatures, mirroring Count:
-// build (or open) a table for run 0 of the config, then serve a single
-// signatures query through an ephemeral engine.
+// acquire the engine for run 0 of the config (Config.engine builds or
+// opens its table), then serve a single signatures query through it.
 func Signatures(g *graph.Graph, cfg Config, nodes []int32) (*SignaturesResult, error) {
 	return SignaturesContext(context.Background(), g, cfg, nodes)
 }
 
 // SignaturesContext is Signatures honoring a context.
 func SignaturesContext(ctx context.Context, g *graph.Graph, cfg Config, nodes []int32) (*SignaturesResult, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validateRun(); err != nil {
 		return nil, err
 	}
 	if cfg.Colorings > 1 {
 		return nil, fmt.Errorf("core: signatures require Colorings == 1 (incidence tallies are per-coloring), got %d", cfg.Colorings)
 	}
-
-	if cfg.TablePath != "" {
-		if cfg.BiasedLambda > 0 {
-			return nil, fmt.Errorf("core: BiasedLambda has no effect with TablePath (the saved coloring is used); unset one")
-		}
-		eng, err := OpenMode(g, cfg.TablePath, cfg.MapTable)
-		if err != nil {
-			return nil, err
-		}
-		if eng.K() != cfg.K {
-			return nil, fmt.Errorf("core: table %s was built for k=%d, run wants k=%d", cfg.TablePath, eng.K(), cfg.K)
-		}
-		res, err := eng.Signatures(ctx, cfg.query(cfg.Seed), nodes)
-		if err != nil {
-			return nil, err
-		}
-		res.OpenTime = eng.OpenTime()
-		res.TableBytes = eng.TableBytes()
-		return res, nil
-	}
-
-	cat := treelet.NewCatalog(cfg.K)
-	col := colorFor(g, cfg, 0)
-	tab, stats, err := buildFor(ctx, g, cfg, col, cat)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := newEngine(g, tab, col, cat, estimate.NewSigma(cfg.K))
+	eng, stats, err := cfg.engine(ctx, g, 0, treelet.NewCatalog(cfg.K), estimate.NewSigma(cfg.K))
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +217,10 @@ func SignaturesContext(ctx context.Context, g *graph.Graph, cfg Config, nodes []
 	if err != nil {
 		return nil, err
 	}
-	res.BuildTime = stats.Duration
-	res.TableBytes = stats.TableBytes
+	if stats != nil {
+		res.BuildTime = stats.Duration
+	}
+	st := eng.Stats()
+	res.OpenTime, res.TableBytes = st.OpenTime, st.TableBytes
 	return res, nil
 }

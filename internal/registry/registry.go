@@ -44,12 +44,16 @@ type Config struct {
 	// table bytes are page-cache residency and do not count against the
 	// budget.
 	MemBudget int64
-	// CacheSize is the seeded-result cache capacity in entries; 0 disables
-	// the cache.
+	// CacheSize is the seeded-result cache capacity in entries (an
+	// identical (graph, Query) with an explicit seed → the cached result);
+	// 0 disables the cache.
 	CacheSize int
 	// MapTable selects how table files are opened (passed through to
-	// core.OpenMode); the zero value maps MvT4 files and heap-loads the
-	// rest.
+	// core.OpenMode). With the MapAuto zero value, MvT4 tables are
+	// memory-mapped: their bytes are page-cache residency (reported in
+	// Stats.MappedBytes), charge almost nothing against MemBudget, and
+	// evicting or reopening them is O(ms) — many more graphs fit one host.
+	// Everything else heap-loads.
 	MapTable core.MapMode
 }
 
@@ -291,13 +295,8 @@ func (r *Registry) Count(ctx context.Context, name string, q core.Query, cacheab
 	key := cacheKey{graph: name, query: q}
 	if cacheable && r.cache != nil {
 		if cached, ok := r.cache.get(key); ok {
-			r.queries.Add(1)
-			// Like Queries, the precision counters report queries served,
-			// fresh and cached alike (a hit re-serves its certificate).
-			r.notePrecision(cached.Achieved)
-			if e := r.entry(name); e != nil {
-				e.queries.Add(1)
-			}
+			// A hit draws nothing but re-serves its certificate.
+			r.served(name, 0, cached.Achieved)
 			return cached, true, nil
 		}
 	}
@@ -309,27 +308,28 @@ func (r *Registry) Count(ctx context.Context, name string, q core.Query, cacheab
 	if err != nil {
 		return nil, false, err
 	}
-	r.queries.Add(1)
-	r.samples.Add(int64(qres.Samples))
-	r.notePrecision(qres.Achieved)
-	if e := r.entry(name); e != nil {
-		e.queries.Add(1)
-	}
+	r.served(name, qres.Samples, qres.Achieved)
 	if cacheable && r.cache != nil {
 		r.cache.put(key, qres)
 	}
 	return qres, false, nil
 }
 
-// notePrecision advances the run-to-precision counters for a completed
-// query's certificate (nil = fixed-budget query, counted nowhere).
-func (r *Registry) notePrecision(c *core.Certificate) {
-	if c == nil {
-		return
+// served advances the traffic counters for one answered query — count or
+// signatures, fresh or cached: the registry-wide and per-graph query
+// counts, the samples it drew, and the run-to-precision counters when it
+// carries a certificate (nil for fixed-budget queries).
+func (r *Registry) served(name string, samples int, cert *core.Certificate) {
+	r.queries.Add(1)
+	r.samples.Add(int64(samples))
+	if cert != nil {
+		r.precQueries.Add(1)
+		if cert.Met {
+			r.precMet.Add(1)
+		}
 	}
-	r.precQueries.Add(1)
-	if c.Met {
-		r.precMet.Add(1)
+	if e := r.entry(name); e != nil {
+		e.queries.Add(1)
 	}
 }
 
@@ -350,13 +350,8 @@ func (r *Registry) Signatures(ctx context.Context, name string, q core.Query, no
 	if err != nil {
 		return nil, err
 	}
-	r.queries.Add(1)
 	r.sigQueries.Add(1)
-	r.samples.Add(int64(res.Samples))
-	r.notePrecision(res.Achieved)
-	if e := r.entry(name); e != nil {
-		e.queries.Add(1)
-	}
+	r.served(name, res.Samples, res.Achieved)
 	return res, nil
 }
 

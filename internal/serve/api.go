@@ -203,7 +203,8 @@ type Stats struct {
 
 // Machine-readable error codes carried by every /v1 error response.
 const (
-	// codeBadRequest: the request body or parameters are malformed.
+	// codeBadRequest: the request body or parameters are malformed, or the
+	// engine rejected the query (core.QueryError).
 	codeBadRequest = "bad_request"
 	// codeUnknownGraph: the named graph is not registered.
 	codeUnknownGraph = "unknown_graph"
@@ -212,7 +213,8 @@ const (
 	codeOverloaded = "overloaded"
 	// codeCanceled: the query was canceled before completing.
 	codeCanceled = "canceled"
-	// codeInternal: an unexpected server-side failure.
+	// codeInternal: an unexpected server-side failure, such as a table
+	// that failed to reopen.
 	codeInternal = "internal"
 )
 

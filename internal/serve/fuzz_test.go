@@ -23,6 +23,8 @@ func FuzzCountRequest(f *testing.F) {
 	f.Add([]byte(`{"strategy":` + strings.Repeat(`[`, 1000) + `}`))
 	f.Add([]byte(`{"seed":9223372036854775807}`))
 	f.Add([]byte("\x00\xff\xfe"))
+	f.Add([]byte(`{"epsilon":0.5,"maxSamples":100}`))
+	f.Add([]byte(`{"samples":1} {}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		q, req, err := decodeCountRequest(bytes.NewReader(body))
 		if err != nil {
@@ -31,7 +33,8 @@ func FuzzCountRequest(f *testing.F) {
 		if req == nil {
 			t.Fatal("nil request on success")
 		}
-		if q.Samples < 1 {
+		if q.Samples < 1 && !q.PrecisionMode() {
+			// A run-to-precision query sizes its own budget (Samples 0).
 			t.Fatalf("accepted query with budget %d", q.Samples)
 		}
 		if q.Strategy != core.Naive && q.Strategy != core.AGS {

@@ -145,6 +145,16 @@ func (s *Server) v1Error(w http.ResponseWriter, status int, code, msg string) {
 	s.writeV1JSON(w, status, errorResponse{Error: msg, Code: code})
 }
 
+// v1Fail answers a failed query with the status errorStatus assigns it,
+// unless the client is already gone and there is nobody to answer.
+func (s *Server) v1Fail(w http.ResponseWriter, r *http.Request, err error) {
+	if r.Context().Err() != nil {
+		return
+	}
+	status, code := errorStatus(err)
+	s.v1Error(w, status, code, err.Error())
+}
+
 // admit acquires an admission slot (always succeeds when unlimited).
 func (s *Server) admit() bool {
 	if s.inflight == nil {
@@ -235,22 +245,35 @@ func queryFromRequest(req *CountRequest) (core.Query, error) {
 	return q, nil
 }
 
+// decodeBody decodes a request body holding one JSON object into v — the
+// one strict decoder behind count, signatures and batch bodies: unknown
+// fields and trailing data are errors, and an empty body leaves v at its
+// zero value (every field of every request is optional).
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		// One JSON value is the whole request; trailing data is a malformed
+		// request, not something to silently ignore.
+		return fmt.Errorf("bad request body: trailing data after the request object")
+	}
+	return nil
+}
+
 // decodeCountRequest parses and validates a count body into an engine
 // query. It is total: any input bytes produce either a valid query or a
 // descriptive error, never a panic — the property FuzzCountRequest checks.
-// An empty body is the all-defaults query (every field is optional).
+// An empty body is the all-defaults query.
 func decodeCountRequest(body io.Reader) (core.Query, *CountRequest, error) {
 	var req CountRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if !errors.Is(err, io.EOF) {
-			return core.Query{}, nil, fmt.Errorf("bad request body: %w", err)
-		}
-	} else if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		// One JSON value is the whole request; trailing data is a malformed
-		// request, not something to silently ignore.
-		return core.Query{}, nil, fmt.Errorf("bad request body: trailing data after the query object")
+	if err := decodeBody(body, &req); err != nil {
+		return core.Query{}, nil, err
 	}
 	q, err := queryFromRequest(&req)
 	if err != nil {
@@ -259,32 +282,43 @@ func decodeCountRequest(body io.Reader) (core.Query, *CountRequest, error) {
 	return q, &req, nil
 }
 
+// errorStatus is the one classifier of serving errors, by type rather than
+// by endpoint: a query the engine rejected (core.QueryError — a bad
+// budget, target motif or node id) is the client's fault, an unregistered
+// graph is not found, a canceled or expired request is unavailable, and
+// anything else — a table that failed to reopen, a corrupt record — is an
+// internal fault.
+func errorStatus(err error) (int, string) {
+	var bad *core.QueryError
+	var unknown *registry.UnknownGraphError
+	switch {
+	case errors.As(err, &bad):
+		return http.StatusBadRequest, codeBadRequest
+	case errors.As(err, &unknown):
+		return http.StatusNotFound, codeUnknownGraph
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable, codeCanceled
+	}
+	return http.StatusInternalServerError, codeInternal
+}
+
 // countOn resolves one decoded query against a named graph and renders the
-// response; the error triple is (status, code, message) for the caller's
-// error envelope.
-func (s *Server) countOn(ctx context.Context, name string, q core.Query, req *CountRequest) (*CountResponse, bool, int, string, error) {
+// response; errors are classified by errorStatus.
+func (s *Server) countOn(ctx context.Context, name string, q core.Query, req *CountRequest) (*CountResponse, bool, error) {
 	// An explicit seed makes the run deterministic and therefore cacheable;
 	// seed 0/unset means "default seed" and always samples afresh.
 	seeded := req.Seed != 0
 	qres, hit, err := s.reg.Count(ctx, name, q, seeded)
 	if err != nil {
-		var unknown *registry.UnknownGraphError
-		switch {
-		case errors.As(err, &unknown):
-			return nil, false, http.StatusNotFound, codeUnknownGraph, err
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			return nil, false, http.StatusServiceUnavailable, codeCanceled, err
-		default:
-			return nil, false, http.StatusInternalServerError, codeInternal, err
-		}
+		return nil, false, err
 	}
 	// K comes from the registry's metadata, not the engine: a cache hit
 	// must not force an evicted engine back into memory just to render.
 	k, _, err := s.reg.Meta(name)
 	if err != nil {
-		return nil, false, http.StatusInternalServerError, codeInternal, err
+		return nil, false, err
 	}
-	return renderCountResponse(k, q.Strategy, req.Top, qres), hit, 0, "", nil
+	return renderCountResponse(k, q.Strategy, req.Top, qres), hit, nil
 }
 
 // renderCountResponse renders a query result with estimates in
@@ -363,12 +397,9 @@ func (s *Server) handleV1Count(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	resp, hit, status, code, err := s.countOn(r.Context(), name, query, req)
+	resp, hit, err := s.countOn(r.Context(), name, query, req)
 	if err != nil {
-		if r.Context().Err() != nil {
-			return // the client is gone; there is nobody to answer
-		}
-		s.v1Error(w, status, code, err.Error())
+		s.v1Fail(w, r, err)
 		return
 	}
 	resp.Graph = name
@@ -401,15 +432,8 @@ func (s *Server) handleV1Signatures(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	var req SignaturesRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCountBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if !errors.Is(err, io.EOF) {
-			s.v1Error(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad request body: %v", err))
-			return
-		}
-	} else if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		s.v1Error(w, http.StatusBadRequest, codeBadRequest, "bad request body: trailing data after the query object")
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxCountBody), &req); err != nil {
+		s.v1Error(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
 	if req.TopNodes < 0 {
@@ -441,26 +465,12 @@ func (s *Server) handleV1Signatures(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	sres, err := s.reg.Signatures(r.Context(), name, q, req.Nodes)
 	if err != nil {
-		if r.Context().Err() != nil {
-			return // the client is gone; there is nobody to answer
-		}
-		var unknown *registry.UnknownGraphError
-		switch {
-		case errors.As(err, &unknown):
-			s.v1Error(w, http.StatusNotFound, codeUnknownGraph, err.Error())
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			s.v1Error(w, http.StatusServiceUnavailable, codeCanceled, err.Error())
-		default:
-			// Node-range and target-motif checks live in the engine (they
-			// need the host graph), so what surfaces here from a resident
-			// engine is a malformed query, not a server fault.
-			s.v1Error(w, http.StatusBadRequest, codeBadRequest, err.Error())
-		}
+		s.v1Fail(w, r, err)
 		return
 	}
 	k, _, err := s.reg.Meta(name)
 	if err != nil {
-		s.v1Error(w, http.StatusInternalServerError, codeInternal, err.Error())
+		s.v1Fail(w, r, err)
 		return
 	}
 	s.writeV1JSON(w, http.StatusOK, renderSignaturesResponse(name, k, q.Strategy, &req, sres))
@@ -542,14 +552,8 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var breq BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		s.v1Error(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		s.v1Error(w, http.StatusBadRequest, codeBadRequest, "bad request body: trailing data after the batch object")
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxBatchBody), &breq); err != nil {
+		s.v1Error(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
 	if len(breq.Queries) == 0 {
@@ -574,12 +578,7 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 	// serving an evicted graph (table open + urn build) happens here once;
 	// per-entry Counts then find the engine resident.
 	if _, err := s.reg.Get(r.Context(), name); err != nil {
-		var unknown *registry.UnknownGraphError
-		if errors.As(err, &unknown) {
-			s.v1Error(w, http.StatusNotFound, codeUnknownGraph, err.Error())
-		} else if r.Context().Err() == nil {
-			s.v1Error(w, http.StatusInternalServerError, codeInternal, err.Error())
-		}
+		s.v1Fail(w, r, err)
 		return
 	}
 	results := make([]BatchResult, len(breq.Queries))
@@ -596,8 +595,9 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 				results[i] = BatchResult{Error: err.Error(), Code: codeBadRequest}
 				return
 			}
-			resp, _, _, code, err := s.countOn(r.Context(), name, q, req)
+			resp, _, err := s.countOn(r.Context(), name, q, req)
 			if err != nil {
+				_, code := errorStatus(err)
 				results[i] = BatchResult{Error: err.Error(), Code: code}
 				return
 			}
@@ -630,7 +630,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	counter("motivo_queries_total", "Count queries served (fresh and cached).", st.Queries)
+	counter("motivo_queries_total", "Count and signature queries served (fresh and cached).", st.Queries)
 	counter("motivo_samples_total", "Samples drawn across all queries (cache hits draw none).", st.Samples)
 	counter("motivo_signature_queries_total", "Per-node signature queries served.", st.SignatureQueries)
 	counter("motivo_precision_queries_total", "Run-to-precision queries served.", st.PrecisionQueries)
@@ -699,11 +699,12 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	resp, _, status, code, err := s.countOn(r.Context(), s.defaultGraph, query, req)
+	resp, _, err := s.countOn(r.Context(), s.defaultGraph, query, req)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // the client is gone; there is nobody to answer
 		}
+		status, code := errorStatus(err)
 		s.writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
 		return
 	}
@@ -720,12 +721,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	eng, err := s.reg.Get(r.Context(), s.defaultGraph)
 	if err != nil {
-		var unknown *registry.UnknownGraphError
-		code := codeInternal
-		status := http.StatusInternalServerError
-		if errors.As(err, &unknown) {
-			code, status = codeUnknownGraph, http.StatusNotFound
-		}
+		status, code := errorStatus(err)
 		s.writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
 		return
 	}

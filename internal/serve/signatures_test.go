@@ -3,9 +3,14 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gen"
 )
 
 // TestV1Signatures: the endpoint answers per-node graphlet degree vectors,
@@ -80,7 +85,7 @@ func TestV1SignaturesNodeSelection(t *testing.T) {
 
 // TestV1SignaturesErrors: bad inputs answer structured v1 errors.
 func TestV1SignaturesErrors(t *testing.T) {
-	srv, _ := testV1Server(t, Config{})
+	srv, reg := testV1Server(t, Config{})
 	for _, tc := range []struct {
 		name, target, body string
 		status             int
@@ -106,6 +111,28 @@ func TestV1SignaturesErrors(t *testing.T) {
 	w := doJSON(t, srv, http.MethodGet, "/v1/graphs/alpha/signatures", "", nil)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET = %d, want 405", w.Code)
+	}
+
+	// A graph whose table cannot be reopened is a server fault, not a bad
+	// query: register one, evict it, and delete its table file.
+	g := gen.ErdosRenyi(40, 100, 13)
+	path := filepath.Join(t.TempDir(), "gone.tbl")
+	if _, _, err := core.BuildTable(g, core.Config{K: 3, Seed: 17}, path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Open("gone", g, path); err != nil {
+		t.Fatal(err)
+	}
+	if !reg.Evict("gone") {
+		t.Fatal("gone was not resident")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	w = doJSON(t, srv, http.MethodPost, "/v1/graphs/gone/signatures", `{"samples":10,"seed":1}`, nil)
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusInternalServerError || er.Code != codeInternal {
+		t.Fatalf("failed reopen: status %d code %q, want 500 %q (%s)", w.Code, er.Code, codeInternal, w.Body.String())
 	}
 }
 

@@ -77,6 +77,11 @@ func TestV1ErrorCodes(t *testing.T) {
 		{http.MethodPost, "/v1/batch", `{"graph":"alpha","queries":[]}`, http.StatusBadRequest, "bad_request"},
 		{http.MethodGet, "/v1/batch", "", http.StatusMethodNotAllowed, "bad_request"},
 		{http.MethodPost, "/v1/graphs", "", http.StatusMethodNotAllowed, "bad_request"},
+		{http.MethodPost, "/v1/batch", "", http.StatusBadRequest, "bad_request"},
+		// The engine rejects target motifs it cannot sample (it needs the
+		// table's k to tell); that is the query's fault, not the server's.
+		{http.MethodPost, "/v1/graphs/alpha/count", `{"epsilon":0.5,"targetMotif":"gffff"}`, http.StatusBadRequest, "bad_request"},
+		{http.MethodPost, "/v1/graphs/alpha/count", `{"epsilon":0.5,"targetMotif":"g1"}`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		w := doJSON(t, srv, tc.method, tc.target, tc.body, nil)
@@ -91,6 +96,21 @@ func TestV1ErrorCodes(t *testing.T) {
 		if cc := w.Header().Get("Cache-Control"); cc != "no-store" {
 			t.Errorf("%s %s: error responses must be no-store too, got %q", tc.method, tc.target, cc)
 		}
+	}
+	// The same classification holds inside a batch entry and on the legacy
+	// /count alias.
+	var resp BatchResponse
+	batch := `{"graph":"alpha","queries":[{"epsilon":0.5,"targetMotif":"gffff"},{"epsilon":0.5,"targetMotif":"g1"}]}`
+	if w := doJSON(t, srv, http.MethodPost, "/v1/batch", batch, &resp); w.Code != http.StatusOK || len(resp.Results) != 2 {
+		t.Fatalf("batch of bad targets = %d: %s", w.Code, w.Body.String())
+	}
+	for i, r := range resp.Results {
+		if r.Count != nil || r.Error == "" || r.Code != "bad_request" {
+			t.Errorf("batch entry %d (bad target): %+v, want code bad_request", i, r)
+		}
+	}
+	if w := doJSON(t, srv, http.MethodPost, "/count", `{"epsilon":0.5,"targetMotif":"g1"}`, nil); w.Code != http.StatusBadRequest {
+		t.Errorf("legacy /count with a bad target = %d, want 400 (%s)", w.Code, w.Body.String())
 	}
 }
 

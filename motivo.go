@@ -208,9 +208,39 @@ type Options struct {
 	MaxSamples int
 }
 
-// precisionMode reports whether any run-to-precision field is set.
-func (o Options) precisionMode() bool {
-	return o.Epsilon != 0 || o.Delta != 0 || o.TargetMotif != (Code{}) || o.MaxSamples != 0
+// withDefaults completes the zero fields exactly as every entry point
+// serves them — Count, Signatures, BuildTable and, through Query.coreQuery,
+// the engine and registry queries: K 4, one coloring, seed 1, and 100k
+// samples unless a run-to-precision field sizes the budget adaptively.
+func (o Options) withDefaults() Options {
+	if o.K == 0 {
+		o.K = 4
+	}
+	if o.Colorings == 0 {
+		o.Colorings = 1
+	}
+	if o.Samples == 0 && !o.coreQuery().PrecisionMode() {
+		o.Samples = 100000
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	return o
+}
+
+// coreQuery maps the sampling fields onto the engine-layer query.
+func (o Options) coreQuery() core.Query {
+	return core.Query{
+		Strategy:       o.Strategy,
+		Samples:        o.Samples,
+		CoverThreshold: o.CoverThreshold,
+		Seed:           o.Seed,
+		SampleWorkers:  o.SampleWorkers,
+		Epsilon:        o.Epsilon,
+		Delta:          o.Delta,
+		TargetMotif:    o.TargetMotif,
+		MaxSamples:     o.MaxSamples,
+	}
 }
 
 // Estimate is one graphlet's estimated occurrence count and relative
@@ -221,7 +251,8 @@ type Estimate struct {
 	Frequency float64
 }
 
-// Result is the outcome of a Count run or an Engine query.
+// Result is the outcome of a Count run, an Engine query or a Registry
+// query — all three render the engine's query result the same way.
 type Result struct {
 	// K is the graphlet size counted.
 	K int
@@ -235,7 +266,7 @@ type Result struct {
 	// OpenTime is the table open + engine construction cost of a TablePath
 	// run — reported separately because opening a persisted table is not a
 	// build. Zero for in-memory runs and for Engine queries (an engine
-	// pays its open cost once; see Engine.OpenTime).
+	// pays its open cost once; see Engine.Stats().OpenTime).
 	OpenTime time.Duration
 	// TableBytes is the compact count-table payload size.
 	TableBytes int64
@@ -283,38 +314,33 @@ func Count(g *Graph, opts Options) (*Result, error) {
 // sampling loops check ctx periodically, so a deadline or cancellation
 // stops the run promptly with ctx.Err().
 func CountContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	if opts.K == 0 {
-		opts.K = 4
-	}
-	if opts.Colorings == 0 {
-		opts.Colorings = 1
-	}
-	if opts.Samples == 0 && !opts.precisionMode() {
-		opts.Samples = 100000
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	res, err := core.CountContext(ctx, g, coreConfig(opts))
+	opts = opts.withDefaults()
+	cres, err := core.CountContext(ctx, g, coreConfig(opts))
 	if err != nil {
 		return nil, err
 	}
+	res := resultOf(opts.K, cres.TableBytes, &cres.QueryResult)
+	res.BuildTime, res.OpenTime = cres.BuildTime, cres.OpenTime
+	return res, nil
+}
+
+// resultOf renders an engine query result — the one conversion behind
+// Count, Engine.Count and Registry.Count.
+func resultOf(k int, tableBytes int64, qres *core.QueryResult) *Result {
 	return &Result{
-		K:          opts.K,
-		Counts:     res.Counts,
-		Samples:    res.Samples,
-		BuildTime:  res.BuildTime,
-		SampleTime: res.SampleTime,
-		OpenTime:   res.OpenTime,
-		TableBytes: res.TableBytes,
-		Covered:    res.Covered,
-		Achieved:   res.Achieved,
-	}, nil
+		K:          k,
+		Counts:     qres.Counts,
+		Samples:    qres.Samples,
+		SampleTime: qres.SampleTime,
+		TableBytes: tableBytes,
+		Covered:    qres.Covered,
+		Achieved:   qres.Achieved,
+	}
 }
 
 // coreConfig maps completed Options onto the pipeline config — one
-// translation shared by Count and BuildTable so both apply identical
-// defaulting and a saved table replays exactly.
+// translation shared by Count, Signatures and BuildTable so all apply
+// identical defaulting and a saved table replays exactly.
 func coreConfig(opts Options) core.Config {
 	return core.Config{
 		K:                  opts.K,
@@ -363,13 +389,7 @@ func BuildTable(g *Graph, opts Options, path string) (*TableInfo, error) {
 // BuildTableContext is BuildTable honoring a context: a canceled or
 // expired ctx stops the build-up phase promptly.
 func BuildTableContext(ctx context.Context, g *Graph, opts Options, path string) (*TableInfo, error) {
-	if opts.K == 0 {
-		opts.K = 4
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	stats, fileBytes, err := core.BuildTableContext(ctx, g, coreConfig(opts), path)
+	stats, fileBytes, err := core.BuildTableContext(ctx, g, coreConfig(opts.withDefaults()), path)
 	if err != nil {
 		return nil, err
 	}
@@ -449,29 +469,12 @@ type Query struct {
 	MaxSamples int
 }
 
-// precisionMode reports whether any run-to-precision field is set.
-func (q Query) precisionMode() bool {
-	return q.Epsilon != 0 || q.Delta != 0 || q.TargetMotif != (Code{}) || q.MaxSamples != 0
-}
-
-// withDefaults completes the zero fields exactly as Engine.Count serves
-// them, so Validate judges the query the engine would actually run. A
-// precision-mode query keeps Samples at zero — the budget is adaptive.
-func (q Query) withDefaults() Query {
-	if q.Samples == 0 && !q.precisionMode() {
-		q.Samples = 100000
-	}
-	if q.Seed == 0 {
-		q.Seed = 1
-	}
-	return q
-}
-
-// coreQuery maps the query onto the engine-layer query — the single
-// translation used by Engine.Count, Registry.Count and Validate, so the
-// public API cannot drift from what the engine serves.
+// coreQuery completes the query's zero fields through Options.withDefaults
+// and maps it onto the engine-layer query — the single translation used by
+// Engine.Count, Engine.Signatures, the Registry methods and Validate, so
+// the public API cannot drift from what the engine serves.
 func (q Query) coreQuery() core.Query {
-	return core.Query{
+	return Options{
 		Strategy:       q.Strategy,
 		Samples:        q.Samples,
 		CoverThreshold: q.CoverThreshold,
@@ -481,33 +484,27 @@ func (q Query) coreQuery() core.Query {
 		Delta:          q.Delta,
 		TargetMotif:    q.TargetMotif,
 		MaxSamples:     q.MaxSamples,
-	}
+	}.withDefaults().coreQuery()
 }
 
 // Validate reports whether the query (after defaulting, so the zero value
 // is valid) can be served: known strategy, positive budget, bounded worker
 // count, positive cover threshold. It is the one validation path shared by
 // the CLI, the HTTP layer and the engine itself.
-func (q Query) Validate() error { return q.withDefaults().coreQuery().Validate() }
+func (q Query) Validate() error { return q.coreQuery().Validate() }
 
-// Count serves one query from the engine's table. It honors ctx — a
-// canceled request (an HTTP client disconnect, a deadline) stops the
-// sampling loop promptly — and may be called concurrently from any number
-// of goroutines.
+// Count serves one query from the engine's table: one sampling run on an
+// urn clone with the query's own RNG stream, then the estimate. It honors
+// ctx — a canceled request (an HTTP client disconnect, a deadline) stops
+// the sampling loop promptly — and may be called concurrently from any
+// number of goroutines. The draw sequence follows SampleWorkers.
 func (e *Engine) Count(ctx context.Context, q Query) (*Result, error) {
-	qres, err := e.eng.Count(ctx, q.withDefaults().coreQuery())
+	qres, err := e.eng.Count(ctx, q.coreQuery())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		K:          e.eng.K(),
-		Counts:     qres.Counts,
-		Samples:    qres.Samples,
-		SampleTime: qres.SampleTime,
-		TableBytes: e.eng.TableBytes(),
-		Covered:    qres.Covered,
-		Achieved:   qres.Achieved,
-	}, nil
+	st := e.eng.Stats()
+	return resultOf(st.K, st.TableBytes, qres), nil
 }
 
 // NodeSignature is one node's graphlet degree vector (GDV): per-motif
@@ -532,7 +529,7 @@ type SignaturesResult = core.SignaturesResult
 // query decomposes into a fixed number of deterministic streams, so for a
 // fixed Seed the vectors are bit-identical at any SampleWorkers count.
 func (e *Engine) Signatures(ctx context.Context, q Query, nodes []int32) (*SignaturesResult, error) {
-	return e.eng.Signatures(ctx, q.withDefaults().coreQuery(), nodes)
+	return e.eng.Signatures(ctx, q.coreQuery(), nodes)
 }
 
 // Signatures is the one-shot form of Engine.Signatures, mirroring Count:
@@ -544,19 +541,7 @@ func Signatures(g *Graph, opts Options, nodes []int32) (*SignaturesResult, error
 
 // SignaturesContext is Signatures honoring a context.
 func SignaturesContext(ctx context.Context, g *Graph, opts Options, nodes []int32) (*SignaturesResult, error) {
-	if opts.K == 0 {
-		opts.K = 4
-	}
-	if opts.Colorings == 0 {
-		opts.Colorings = 1
-	}
-	if opts.Samples == 0 && !opts.precisionMode() {
-		opts.Samples = 100000
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	return core.SignaturesContext(ctx, g, coreConfig(opts), nodes)
+	return core.SignaturesContext(ctx, g, coreConfig(opts.withDefaults()), nodes)
 }
 
 // EngineStats describes an engine in one struct: graphlet size, host graph
@@ -564,43 +549,13 @@ func SignaturesContext(ctx context.Context, g *Graph, opts Options, nodes []int3
 // amortizes over its queries.
 type EngineStats = core.EngineStats
 
-// Stats reports the engine's shape and cost in a single struct, replacing
-// the ad-hoc K/OpenTime/TableBytes accessor trio.
+// Stats reports the engine's shape and cost in a single struct: graphlet
+// size, graph shape, table payload and the one-time open cost.
 func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
 
-// K returns the graphlet size the engine's table was built for.
-//
-// Deprecated: use Stats().K.
-func (e *Engine) K() int { return e.eng.K() }
-
-// OpenTime reports how long Open spent loading the table and building the
-// master urn — the cost the engine amortizes over all of its queries.
-//
-// Deprecated: use Stats().OpenTime.
-func (e *Engine) OpenTime() time.Duration { return e.eng.OpenTime() }
-
-// TableBytes is the packed in-memory count-table payload the engine holds.
-//
-// Deprecated: use Stats().TableBytes.
-func (e *Engine) TableBytes() int64 { return e.eng.TableBytes() }
-
-// RegistryConfig bounds a Registry.
-type RegistryConfig struct {
-	// MemBudget caps the total resident count-table payload in bytes;
-	// engines beyond it are evicted least-recently-used and transparently
-	// reopened on their next query. 0 means unlimited.
-	MemBudget int64
-	// CacheSize is the seeded-result cache capacity in entries (identical
-	// (graph, Query) with an explicit seed → cached Result). 0 disables
-	// the cache.
-	CacheSize int
-	// MapTable selects how registered tables are opened. With the MapAuto
-	// default, MvT4 tables are memory-mapped: their bytes are page-cache
-	// residency (reported separately in Stats().MappedBytes), charge
-	// almost nothing against MemBudget, and evicting/reopening them is
-	// O(ms) — many more graphs fit one host.
-	MapTable MapMode
-}
+// RegistryConfig bounds a Registry: the memory budget for resident
+// tables, the seeded-result cache size, and how tables are opened.
+type RegistryConfig = registry.Config
 
 // Registry is a named collection of engines — the multi-tenant half of the
 // build-once / query-many workflow. One process serves many graphs: each
@@ -622,11 +577,7 @@ type RegistryStats = registry.Stats
 
 // NewRegistry creates an empty registry under cfg's budget.
 func NewRegistry(cfg RegistryConfig) *Registry {
-	return &Registry{reg: registry.New(registry.Config{
-		MemBudget: cfg.MemBudget,
-		CacheSize: cfg.CacheSize,
-		MapTable:  cfg.MapTable,
-	})}
+	return &Registry{reg: registry.New(cfg)}
 }
 
 // Open registers g under name and eagerly opens its engine from the
@@ -653,9 +604,7 @@ func (r *Registry) Get(ctx context.Context, name string) (*Engine, error) {
 // registry has answered before returns the cached Result without sampling
 // (cached reports which). Queries with Seed 0 bypass the cache.
 func (r *Registry) Count(ctx context.Context, name string, q Query) (res *Result, cached bool, err error) {
-	seeded := q.Seed != 0
-	q = q.withDefaults()
-	qres, hit, err := r.reg.Count(ctx, name, q.coreQuery(), seeded)
+	qres, hit, err := r.reg.Count(ctx, name, q.coreQuery(), q.Seed != 0)
 	if err != nil {
 		return nil, false, err
 	}
@@ -665,22 +614,14 @@ func (r *Registry) Count(ctx context.Context, name string, q Query) (res *Result
 	if err != nil {
 		return nil, false, err
 	}
-	return &Result{
-		K:          k,
-		Counts:     qres.Counts,
-		Samples:    qres.Samples,
-		SampleTime: qres.SampleTime,
-		TableBytes: tableBytes,
-		Covered:    qres.Covered,
-		Achieved:   qres.Achieved,
-	}, hit, nil
+	return resultOf(k, tableBytes, qres), hit, nil
 }
 
 // Signatures resolves the named engine and serves one per-node signatures
 // query. Results are never cached: bodies are per-node and large, and the
 // fixed stream decomposition already makes seeded runs reproducible.
 func (r *Registry) Signatures(ctx context.Context, name string, q Query, nodes []int32) (*SignaturesResult, error) {
-	return r.reg.Signatures(ctx, name, q.withDefaults().coreQuery(), nodes)
+	return r.reg.Signatures(ctx, name, q.coreQuery(), nodes)
 }
 
 // Evict drops the named engine's resident state (the registration stays,

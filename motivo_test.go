@@ -193,11 +193,6 @@ func TestEngineFacade(t *testing.T) {
 	if st.K != 4 || st.Nodes != 70 || st.Edges != 210 || st.OpenTime <= 0 || st.TableBytes <= 0 {
 		t.Fatalf("engine stats: %+v", st)
 	}
-	// The deprecated per-field accessors must keep agreeing with Stats.
-	if eng.K() != st.K || eng.OpenTime() != st.OpenTime || eng.TableBytes() != st.TableBytes {
-		t.Fatalf("deprecated accessors diverge from Stats(): k=%d open=%v bytes=%d vs %+v",
-			eng.K(), eng.OpenTime(), eng.TableBytes(), st)
-	}
 	for _, strat := range []Strategy{Naive, AGS} {
 		res, err := eng.Count(context.Background(), Query{
 			Strategy: strat, Samples: 4000, CoverThreshold: 200, Seed: 23,
