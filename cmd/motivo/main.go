@@ -26,11 +26,11 @@
 // `build -o` persists the count table; `count -table` opens it and skips
 // the build — build once, query many. Persisted MvT4 tables are
 // memory-mapped by default (`-map auto|off|require` on count and serve;
-// `build -format 3` writes the legacy format). `serve` keeps a registry
-// of named engines open and answers versioned JSON count queries over HTTP
-// (`/v1/graphs/{name}/count`, `/v1/batch`, `/v1/graphs`, `/metrics`; see
-// internal/serve for the API). `-graph` is repeatable; the first named
-// graph is the default that the legacy `/count` alias serves.
+// older MvT3 and MvT2 files still open through the heap loader). `serve`
+// keeps a registry of named engines open and answers versioned JSON count
+// queries over HTTP (`/v1/graphs/{name}/count`, `/v1/batch`, `/v1/graphs`,
+// `/metrics`; see internal/serve for the API). `-graph` is repeatable; the
+// first named graph is the default that the legacy `/count` alias serves.
 package main
 
 import (
@@ -49,14 +49,11 @@ import (
 	"time"
 
 	motivo "repro"
-	"repro/internal/build"
-	"repro/internal/coloring"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/table"
-	"repro/internal/treelet"
 )
 
 func main() {
@@ -212,7 +209,6 @@ func cmdBuild(args []string) error {
 	memBudget := fs.Int64("mem-budget", 0, "bounded-memory build: target transient bytes; levels shard, spill and externally merge (0 = unbounded)")
 	smartStars := fs.Bool("smart-stars", true, "synthesize star-family records from colored degrees instead of storing them")
 	out := fs.String("o", "", "persist the count table (arena + index + coloring) to this file")
-	format := fs.Int("format", 4, "table file format version for -o: 4 (checksummed, mmap-servable) or 3 (legacy)")
 	mapGraph := mapGraphFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -223,33 +219,14 @@ func cmdBuild(args []string) error {
 	if *memBudget < 0 {
 		return fmt.Errorf("build: -mem-budget must be ≥ 0, got %d", *memBudget)
 	}
-	if *k < 1 || *k > treelet.MaxK {
-		return fmt.Errorf("build: -k %d out of range [1,%d]", *k, treelet.MaxK)
-	}
-	if *format != 3 && *format != 4 {
-		return fmt.Errorf("build: -format %d unsupported (want 4 or 3)", *format)
-	}
-	if *lambda > 0 {
-		if err := coloring.ValidateLambda(*k, *lambda); err != nil {
-			return fmt.Errorf("build: %w", err)
-		}
-	}
 	g, err := loadGraph(*in, *mapGraph)
 	if err != nil {
 		return err
 	}
-	var col *coloring.Coloring
-	if *lambda > 0 {
-		col = coloring.Biased(g.NumNodes(), *k, *lambda, *seed)
-	} else {
-		col = coloring.Uniform(g.NumNodes(), *k, *seed)
-	}
-	cat := treelet.NewCatalog(*k)
-	opts := build.DefaultOptions()
-	opts.Spill = *spill
-	opts.MemBudget = *memBudget
-	opts.SmartStars = *smartStars
-	tab, stats, err := build.Run(context.Background(), g, col, *k, cat, opts)
+	tab, col, stats, err := core.Build(context.Background(), g, core.Config{
+		K: *k, Seed: *seed, BiasedLambda: *lambda,
+		Spill: *spill, MemBudget: *memBudget, MaterializeStars: !*smartStars,
+	})
 	if err != nil {
 		return err
 	}
@@ -272,11 +249,7 @@ func cmdBuild(args []string) error {
 		fmt.Printf("  level %d: %v\n", h, stats.LevelTime[h].Round(1e6))
 	}
 	if *out != "" {
-		save := table.SaveFile
-		if *format == 3 {
-			save = table.SaveFileV3
-		}
-		n, err := save(*out, tab, col)
+		n, err := table.SaveFile(*out, tab, col)
 		if err != nil {
 			return err
 		}

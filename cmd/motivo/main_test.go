@@ -81,10 +81,10 @@ func TestCommandErrorMessages(t *testing.T) {
 
 		{"build/missing-input", cmdBuild, []string{"-k", "4"}, "build: -i is required"},
 		{"build/k-too-small", cmdBuild, []string{"-i", graphPath, "-k", "0"}, "out of range"},
-		{"build/k-too-large", cmdBuild, []string{"-i", graphPath, "-k", "99"}, "out of range [1,11]"},
+		{"build/k-one", cmdBuild, []string{"-i", graphPath, "-k", "1"}, "out of range [2,11]"},
+		{"build/k-too-large", cmdBuild, []string{"-i", graphPath, "-k", "99"}, "out of range [2,11]"},
 		{"build/bad-lambda", cmdBuild, []string{"-i", graphPath, "-k", "4", "-lambda", "9"}, "lambda"},
 		{"build/missing-file", cmdBuild, []string{"-i", "/definitely/not/here"}, "no such file"},
-		{"build/bad-format", cmdBuild, []string{"-i", graphPath, "-k", "4", "-format", "2"}, "-format 2 unsupported"},
 
 		{"count/missing-input", cmdCount, []string{}, "count: -i is required"},
 		{"count/bad-strategy", cmdCount, []string{"-i", graphPath, "-strategy", "magic"}, `unknown strategy "magic"`},
@@ -159,17 +159,13 @@ func TestBuildOutputModes(t *testing.T) {
 	}
 }
 
-// TestBuildFormat3DowngradePath pins the CLI downgrade workflow: -format 3
-// writes a legacy MvT3 file that the default auto map mode serves via the
-// heap fallback, while -map require refuses it.
-func TestBuildFormat3DowngradePath(t *testing.T) {
-	graphPath := writeTestGraph(t)
-	tblPath := filepath.Join(t.TempDir(), "g3.tbl")
-	if _, err := captureStdout(t, func() error {
-		return cmdBuild([]string{"-i", graphPath, "-k", "4", "-format", "3", "-o", tblPath})
-	}); err != nil {
-		t.Fatal(err)
-	}
+// TestLegacyTableFallbackPath pins the CLI side of legacy-table support:
+// a checked-in MvT3 file (written by an older `motivo build`) is served by
+// the default auto map mode via the heap fallback, while -map require
+// refuses it.
+func TestLegacyTableFallbackPath(t *testing.T) {
+	graphPath := filepath.Join("..", "..", "internal", "table", "testdata", "legacy-v3.txt")
+	tblPath := filepath.Join("..", "..", "internal", "table", "testdata", "legacy-v3.tbl")
 	_, err := captureStdout(t, func() error {
 		return cmdCount([]string{"-i", graphPath, "-k", "4", "-table", tblPath, "-map", "require", "-samples", "100"})
 	})

@@ -155,18 +155,11 @@ type Options struct {
 	Shapes *ShapeSet
 }
 
-// DefaultOptions mirror the paper's experimental settings.
-func DefaultOptions(budget int, rng *rand.Rand) Options {
-	return Options{CoverThreshold: 1000, Budget: budget, Rng: rng}
-}
-
 // Result carries the outcome of an AGS run.
 type Result struct {
 	// Estimates maps each observed graphlet to its estimated number of
 	// induced occurrences in G (colorful estimate divided by p_k).
 	Estimates estimate.Counts
-	// ColorfulEstimates is c_i/w_i, the estimate of colorful copies.
-	ColorfulEstimates estimate.Counts
 	// Tallies is c_i, the raw occurrence counts.
 	Tallies map[graphlet.Code]int64
 	// Samples is the number of draws made; Switches how many times the
@@ -483,7 +476,6 @@ func Run(ctx context.Context, urn *sample.Urn, opts Options) (*Result, error) {
 		}
 	}
 
-	e.res.ColorfulEstimates = make(estimate.Counts, len(e.tallies))
 	e.res.Estimates = make(estimate.Counts, len(e.tallies))
 	pk := urn.Col.PColorful
 	for code, c := range e.tallies {
@@ -491,9 +483,7 @@ func Run(ctx context.Context, urn *sample.Urn, opts Options) (*Result, error) {
 		if w == 0 {
 			continue
 		}
-		colorful := float64(c) / w
-		e.res.ColorfulEstimates[code] = colorful
-		e.res.Estimates[code] = colorful / pk
+		e.res.Estimates[code] = float64(c) / w / pk
 	}
 	return e.res, nil
 }

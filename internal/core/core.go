@@ -212,7 +212,7 @@ type Result struct {
 	TableBytes int64
 }
 
-// validate checks the parts of the config shared by Count and BuildTable.
+// validate checks the parts of the config shared by Count and Build.
 func (cfg Config) validate() error {
 	if cfg.K < 2 || cfg.K > treelet.MaxK {
 		return fmt.Errorf("core: K=%d out of range [2,%d]", cfg.K, treelet.MaxK)
@@ -235,20 +235,19 @@ func (cfg Config) validateRun() error {
 	return cfg.query(cfg.Seed).Validate()
 }
 
-// colorFor generates the coloring of run `run` — the one deterministic
-// seed schedule shared by Count and BuildTable, so a table saved by
-// BuildTable reproduces exactly the coloring Count would have built
-// in-memory at the same seed.
-func colorFor(g *graph.Graph, cfg Config, run int) *coloring.Coloring {
+// buildRun colors g for coloring run `run` and runs the build-up phase
+// with the config's build options — the one place a Config becomes a
+// coloring and a table. Its seed schedule is shared by Count and Build, so
+// a table saved by BuildTable reproduces exactly the coloring Count would
+// have built in-memory at the same seed.
+func buildRun(ctx context.Context, g *graph.Graph, cfg Config, run int, cat *treelet.Catalog) (*table.Table, *coloring.Coloring, *build.Stats, error) {
 	seed := cfg.Seed + int64(run)*7919
+	var col *coloring.Coloring
 	if cfg.BiasedLambda > 0 {
-		return coloring.Biased(g.NumNodes(), cfg.K, cfg.BiasedLambda, seed)
+		col = coloring.Biased(g.NumNodes(), cfg.K, cfg.BiasedLambda, seed)
+	} else {
+		col = coloring.Uniform(g.NumNodes(), cfg.K, seed)
 	}
-	return coloring.Uniform(g.NumNodes(), cfg.K, seed)
-}
-
-// buildFor runs the build-up phase with the config's build options.
-func buildFor(ctx context.Context, g *graph.Graph, cfg Config, col *coloring.Coloring, cat *treelet.Catalog) (*table.Table, *build.Stats, error) {
 	opts := build.DefaultOptions()
 	opts.Workers = cfg.Workers
 	opts.Spill = cfg.Spill
@@ -257,7 +256,21 @@ func buildFor(ctx context.Context, g *graph.Graph, cfg Config, col *coloring.Col
 	if cfg.BufferThreshold > 0 {
 		opts.BufferThreshold = cfg.BufferThreshold
 	}
-	return build.Run(ctx, g, col, cfg.K, cat, opts)
+	tab, stats, err := build.Run(ctx, g, col, cfg.K, cat, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return tab, col, stats, nil
+}
+
+// Build runs the coloring and build-up phase for run 0 of cfg and returns
+// the table with the coloring that produced it. Count at the same config
+// builds exactly this table for its first coloring.
+func Build(ctx context.Context, g *graph.Graph, cfg Config) (*table.Table, *coloring.Coloring, *build.Stats, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	return buildRun(ctx, g, cfg, 0, treelet.NewCatalog(cfg.K))
 }
 
 // BuildTable runs the coloring and build-up phase for run 0 of cfg and
@@ -270,12 +283,7 @@ func BuildTable(g *graph.Graph, cfg Config, path string) (*build.Stats, int64, e
 // BuildTableContext is BuildTable honoring a context: a canceled or
 // expired ctx stops the build-up phase promptly.
 func BuildTableContext(ctx context.Context, g *graph.Graph, cfg Config, path string) (*build.Stats, int64, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, 0, err
-	}
-	cat := treelet.NewCatalog(cfg.K)
-	col := colorFor(g, cfg, 0)
-	tab, stats, err := buildFor(ctx, g, cfg, col, cat)
+	tab, col, stats, err := Build(ctx, g, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -310,8 +318,7 @@ func (cfg Config) query(seed int64) Query {
 // nil for an opened table.
 func (cfg Config) engine(ctx context.Context, g *graph.Graph, run int, cat *treelet.Catalog, sig *estimate.Sigma) (*Engine, *build.Stats, error) {
 	if cfg.TablePath == "" {
-		col := colorFor(g, cfg, run)
-		tab, stats, err := buildFor(ctx, g, cfg, col, cat)
+		tab, col, stats, err := buildRun(ctx, g, cfg, run, cat)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -114,7 +114,7 @@ func accuracySets() []Dataset {
 }
 
 // DatasetsTable prints the catalog — the Table 1 analogue.
-func DatasetsTable(w io.Writer) {
+func DatasetsTable(w io.Writer) error {
 	fmt.Fprintf(w, "== datasets (Table 1 stand-ins) ==\n")
 	fmt.Fprintf(w, "%-15s %9s %10s %8s %5s  %s\n", "graph", "nodes", "edges", "maxdeg", "k", "regime")
 	for _, d := range Catalog() {
@@ -122,4 +122,5 @@ func DatasetsTable(w io.Writer) {
 		fmt.Fprintf(w, "%-15s %9d %10d %8d %5d  %s\n",
 			d.Name, g.NumNodes(), g.NumEdges(), g.MaxDegree(), d.MaxK, d.Regime)
 	}
+	return nil
 }

@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"io"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -40,11 +41,16 @@ func TestRegistryComplete(t *testing.T) {
 	if len(Registry) != len(want) {
 		t.Errorf("registry has %d entries, want %d", len(Registry), len(want))
 	}
+	if !slices.Equal(paperOrder, want) {
+		t.Errorf("All runs %v, want %v", paperOrder, want)
+	}
 }
 
 func TestDatasetsTableOutput(t *testing.T) {
 	var sb strings.Builder
-	DatasetsTable(&sb)
+	if err := DatasetsTable(&sb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	for _, d := range Catalog() {
 		if !strings.Contains(out, d.Name) {
@@ -58,7 +64,9 @@ func TestLollipopExperimentRuns(t *testing.T) {
 		t.Skip("several seconds of ESU enumeration")
 	}
 	var sb strings.Builder
-	LollipopLowerBound(&sb)
+	if err := LollipopLowerBound(&sb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	if !strings.Contains(out, "p_H") || !strings.Contains(out, "sample(path-shape)") {
 		t.Errorf("unexpected lollipop output:\n%s", out)
@@ -74,4 +82,33 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-var _ = io.Discard // keep io imported if assertions change
+// TestFig10RarestGraphletServed pins the paper's headline AGS result on the
+// served path: on the star-dominated graph naive sampling only ever sees
+// the star (rarest frequency 1), while AGS tallies graphlets rarer than
+// 1e-9 at both k=5 and k=6.
+func TestFig10RarestGraphletServed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and samples k=5 and k=6 tables")
+	}
+	var sb strings.Builder
+	if err := Fig10RarestGraphlet(&sb); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || f[0] != "yelp-s" {
+			continue
+		}
+		rows++
+		if f[2] != "1" {
+			t.Errorf("k=%s: naive rarest frequency %q, want 1", f[1], f[2])
+		}
+		if ags, err := strconv.ParseFloat(f[3], 64); err != nil || ags >= 1e-9 {
+			t.Errorf("k=%s: AGS rarest frequency %q, want below 1e-9", f[1], f[3])
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("want rows for k=5 and k=6, got %d:\n%s", rows, sb.String())
+	}
+}

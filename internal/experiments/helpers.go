@@ -1,15 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
-	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/graphlet"
 	"repro/internal/treelet"
 )
-
-func genLollipop(cliqueN, tailLen int) *graph.Graph { return gen.Lollipop(cliqueN, tailLen) }
 
 // isPathCode reports whether the graphlet is the k-path (two degree-1
 // endpoints, the rest degree 2, k-1 edges).
@@ -38,32 +35,25 @@ func pathShapeOf(k int) treelet.Treelet {
 	return treelet.UnrootedCanonical(treelet.FromParents(parents))
 }
 
-// All runs every experiment in paper order.
-func All(w io.Writer) {
-	for _, f := range []func(io.Writer){
-		DatasetsTable,
-		Fig2CheckMerge,
-		Fig3BuildMemory,
-		Fig4ZeroRooting,
-		Fig5NeighborBuffering,
-		Fig6BiasedColoring,
-		Fig7Scaling,
-		Fig8ErrorDistributions,
-		Fig9AccurateGraphlets,
-		Fig10RarestGraphlet,
-		TableBuildSpeedup,
-		TableSize,
-		TableSamplingSpeed,
-		L1Accuracy,
-		LollipopLowerBound,
-	} {
-		f(w)
+// paperOrder lists the experiment ids in the order the paper presents them.
+var paperOrder = []string{
+	"datasets", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"speedup", "tablesize", "samplerate", "l1", "lollipop",
+}
+
+// All runs every experiment in paper order, stopping at the first error.
+func All(w io.Writer) error {
+	for _, id := range paperOrder {
+		if err := Registry[id](w); err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
 		io.WriteString(w, "\n")
 	}
+	return nil
 }
 
 // Registry maps experiment ids to runners for the CLI.
-var Registry = map[string]func(io.Writer){
+var Registry = map[string]func(io.Writer) error{
 	"datasets":   DatasetsTable,
 	"fig2":       Fig2CheckMerge,
 	"fig3":       Fig3BuildMemory,

@@ -7,18 +7,16 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/build"
 	"repro/internal/ccbaseline"
 	"repro/internal/coloring"
+	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/exact"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sample"
 	"repro/internal/treelet"
 )
-
-// exactCount is a thin indirection so figures.go can use it too.
-func exactCount(g *graph.Graph, k int) (estimate.Counts, error) { return exact.Count(g, k) }
 
 // ccBudget caps how long a single CC baseline build may take; beyond it we
 // print a dash, mirroring the paper's dashes where CC failed by memory
@@ -40,20 +38,18 @@ var speedupGrid = []struct {
 
 // TableBuildSpeedup reproduces the §5.1 "build-up speedup" table: motivo's
 // build time vs CC's on the same coloring (paper: 2–5x, never slower).
-func TableBuildSpeedup(w io.Writer) {
+func TableBuildSpeedup(w io.Writer) error {
 	fmt.Fprintf(w, "== Table (§5.1): build-up speedup of motivo over CC ==\n")
 	fmt.Fprintf(w, "%-15s %3s %12s %12s %9s\n", "graph", "k", "CC", "motivo", "speedup")
 	for _, row := range speedupGrid {
 		d, _ := ByName(row.ds)
 		g := d.Gen()
 		for _, k := range row.ks {
-			col := coloring.Uniform(g.NumNodes(), k, 701)
-			cat := treelet.NewCatalog(k)
-			ccTime, ok := timedCC(g, col, k)
-			_, moStats, err := build.Run(context.Background(), g, col, k, cat, build.DefaultOptions())
+			_, col, moStats, err := core.Build(context.Background(), g, core.Config{K: k, Seed: 701})
 			if err != nil {
-				panic(err)
+				return err
 			}
+			ccTime, ok := timedCC(g, col, k)
 			if !ok {
 				fmt.Fprintf(w, "%-15s %3d %12s %12v %9s\n", row.ds, k, "-",
 					moStats.Duration.Round(time.Millisecond), "-")
@@ -64,6 +60,7 @@ func TableBuildSpeedup(w io.Writer) {
 				float64(ccTime)/float64(moStats.Duration))
 		}
 	}
+	return nil
 }
 
 // timedCC runs the CC build under the time cap.
@@ -92,33 +89,32 @@ func timedCC(g *graph.Graph, col *coloring.Coloring, k int) (time.Duration, bool
 
 // TableSize reproduces the §5.1 "count table size" table: CC's in-memory
 // footprint vs motivo's compact table (paper: 2–8x smaller).
-func TableSize(w io.Writer) {
+func TableSize(w io.Writer) error {
 	fmt.Fprintf(w, "== Table (§5.1): count table size, CC vs motivo ==\n")
 	fmt.Fprintf(w, "%-15s %3s %14s %14s %9s\n", "graph", "k", "CC bytes", "motivo bytes", "ratio")
 	for _, row := range speedupGrid {
 		d, _ := ByName(row.ds)
 		g := d.Gen()
 		for _, k := range row.ks {
-			col := coloring.Uniform(g.NumNodes(), k, 709)
-			cat := treelet.NewCatalog(k)
+			_, col, moStats, err := core.Build(context.Background(), g, core.Config{K: k, Seed: 709})
+			if err != nil {
+				return err
+			}
 			_, ccStats, err := ccbaseline.Build(g, col, k)
 			if err != nil {
-				panic(err)
-			}
-			_, moStats, err := build.Run(context.Background(), g, col, k, cat, build.DefaultOptions())
-			if err != nil {
-				panic(err)
+				return err
 			}
 			fmt.Fprintf(w, "%-15s %3d %14d %14d %8.1fx\n", row.ds, k,
 				ccStats.BytesEstimate, moStats.TableBytes,
 				float64(ccStats.BytesEstimate)/float64(moStats.TableBytes))
 		}
 	}
+	return nil
 }
 
 // TableSamplingSpeed reproduces the §5.1 "sampling speed" table: motivo's
 // samples/s vs CC's (paper: always ≥10x, up to ~100x).
-func TableSamplingSpeed(w io.Writer) {
+func TableSamplingSpeed(w io.Writer) error {
 	fmt.Fprintf(w, "== Table (§5.1): sampling speed, motivo vs CC (samples/s) ==\n")
 	fmt.Fprintf(w, "%-15s %3s %12s %12s %9s\n", "graph", "k", "CC", "motivo", "speedup")
 	const S = 8000
@@ -133,16 +129,16 @@ func TableSamplingSpeed(w io.Writer) {
 	for _, r := range runs {
 		d, _ := ByName(r.ds)
 		g := d.Gen()
+		// The coloring motivo's run 0 draws at seed 719, so both samplers
+		// serve the same colorful treelets.
 		col := coloring.Uniform(g.NumNodes(), r.k, 719)
-		cat := treelet.NewCatalog(r.k)
-
 		ccTab, _, err := ccbaseline.Build(g, col, r.k)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		ccSampler, err := ccbaseline.NewSampler(g.Neighbors, g.HasEdge, g.Degree, ccTab)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		rng := rand.New(rand.NewSource(727))
 		start := time.Now()
@@ -151,57 +147,53 @@ func TableSamplingSpeed(w io.Writer) {
 		}
 		ccRate := S / time.Since(start).Seconds()
 
-		moTab, _, err := build.Run(context.Background(), g, col, r.k, cat, build.DefaultOptions())
+		moRate, err := sampleRate(g, r.k, S, 719, 1000)
 		if err != nil {
-			panic(err)
+			return err
 		}
-		urn, err := sample.NewUrn(g, col, moTab, cat)
-		if err != nil {
-			panic(err)
-		}
-		urn.BufferThreshold = 1000
-		rng2 := rand.New(rand.NewSource(727))
-		start = time.Now()
-		for i := 0; i < S; i++ {
-			urn.Sample(rng2)
-		}
-		moRate := S / time.Since(start).Seconds()
 		fmt.Fprintf(w, "%-15s %3d %12.0f %12.0f %8.1fx\n", r.ds, r.k, ccRate, moRate, moRate/ccRate)
 	}
+	return nil
 }
 
 // L1Accuracy reproduces the §5.2 ℓ1-error claim (below 5% everywhere,
 // below 2.5% for k ≤ 7 — here measured against exact ESU counts).
-func L1Accuracy(w io.Writer) {
+func L1Accuracy(w io.Writer) error {
 	fmt.Fprintf(w, "== §5.2: ℓ1 error of the reconstructed graphlet distribution ==\n")
 	fmt.Fprintf(w, "%-10s %3s %10s %10s\n", "graph", "k", "naive", "AGS")
 	for _, ds := range accuracySets() {
 		g := ds.Gen()
 		for k := 4; k <= ds.MaxK; k++ {
-			truth, err := exactCount(g, k)
+			truth, err := exact.Count(g, k)
 			if err != nil {
-				panic(err)
+				return err
 			}
-			const budget = 60000
-			nv := averageNaive(g, k, budget, 4)
-			av := averageAGS(g, k, budget, 4)
+			nv, err := average(g, k, core.Naive, 60000)
+			if err != nil {
+				return err
+			}
+			av, err := average(g, k, core.AGS, 60000)
+			if err != nil {
+				return err
+			}
 			fmt.Fprintf(w, "%-10s %3d %9.2f%% %9.2f%%\n", ds.Name, k,
 				100*estimate.L1(nv, truth), 100*estimate.L1(av, truth))
 		}
 	}
+	return nil
 }
 
 // LollipopLowerBound demonstrates Theorem 5: on the lollipop graph the
 // k-path graphlet H has polynomially small frequency among the copies of
 // its (only) spanning tree, so ANY sample(T)-based algorithm needs
 // Ω(1/p_H) draws to see it once.
-func LollipopLowerBound(w io.Writer) {
+func LollipopLowerBound(w io.Writer) error {
 	fmt.Fprintf(w, "== Theorem 5: lollipop lower bound for sample(T) algorithms ==\n")
 	cliqueN, tailLen, k := 30, 4, 6
-	g := genLollipop(cliqueN, tailLen)
-	truth, err := exactCount(g, k)
+	g := gen.Lollipop(cliqueN, tailLen)
+	truth, err := exact.Count(g, k)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	// The k-path graphlet.
 	var pathCount, total float64
@@ -222,23 +214,20 @@ func LollipopLowerBound(w io.Writer) {
 	var urn *sample.Urn
 	cat := treelet.NewCatalog(k)
 	for seed := int64(733); ; seed++ {
-		col := coloring.Uniform(g.NumNodes(), k, seed)
-		tab, _, err := build.Run(context.Background(), g, col, k, cat, build.DefaultOptions())
+		tab, col, _, err := core.Build(context.Background(), g, core.Config{K: k, Seed: seed})
 		if err != nil {
-			panic(err)
+			return err
 		}
-		urn, err = sample.NewUrn(g, col, tab, cat)
-		if err != nil {
-			panic(err)
+		if urn, err = sample.NewUrn(g, col, tab, cat); err != nil {
+			return err
 		}
 		if !urn.Empty() {
 			break
 		}
 	}
-	pathShape := pathShapeOf(k)
-	su, err := urn.NewShapeUrn(pathShape)
+	su, err := urn.NewShapeUrn(pathShapeOf(k))
 	if err != nil {
-		panic(err)
+		return err
 	}
 	// A sample(T) call returns the induced path only when the drawn
 	// colorful path-treelet copy spans an induced path occurrence, i.e.
@@ -258,4 +247,5 @@ func LollipopLowerBound(w io.Writer) {
 	}
 	fmt.Fprintf(w, "sample(path-shape) over %d draws: %d induced-path hits (rate %.3g)\n", S, hits, float64(hits)/S)
 	fmt.Fprintf(w, "→ even shape-restricted sampling cannot beat Ω(1/p_H) here, as Theorem 5 states\n")
+	return nil
 }

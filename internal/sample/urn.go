@@ -99,7 +99,7 @@ type Urn struct {
 
 	nodesBuf []int32 // sampled-copy scratch, reused across draws
 
-	// Stats observable by experiments.
+	// Per-urn draw statistics, read by the benchmark ladder's sample rungs.
 	Sweeps     int64 // neighbor sweeps performed (sweep-cache misses)
 	BufferHits int64 // child choices served from a buffer
 }

@@ -11,16 +11,8 @@ import (
 	"unsafe"
 
 	"repro/internal/coloring"
+	"repro/internal/mmapx"
 )
-
-// statSize returns the size of the file at path.
-func statSize(path string) (int64, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
 
 // ErrNotMappable reports that a file cannot be served through OpenMapped
 // but is (or may be) loadable through LoadFile: a pre-v4 format version,
@@ -54,7 +46,7 @@ func (ms *mappedState) close() error {
 	if ms.closed.Swap(true) {
 		return nil
 	}
-	return munmapFile(ms.data)
+	return mmapx.Unmap(ms.data)
 }
 
 // levelVerify is the lazy verification state of one stored level of a
@@ -89,15 +81,27 @@ func OpenMapped(path string) (*Table, *coloring.Coloring, error) {
 	if !hostLittleEndian {
 		return nil, nil, fmt.Errorf("%w: big-endian host", ErrNotMappable)
 	}
-	data, err := mmapFile(path)
+	st, err := os.Stat(path)
 	if err != nil {
+		return nil, nil, err
+	}
+	if st.Size() < headerSize {
+		// Too small to be v4 (and mmap of zero bytes is invalid anyway):
+		// the heap loader should produce the real diagnosis.
+		return nil, nil, fmt.Errorf("%w: %d-byte file is below the v4 header size", ErrNotMappable, st.Size())
+	}
+	data, err := mmapx.Map(path)
+	if err != nil {
+		if errors.Is(err, mmapx.ErrUnsupported) {
+			return nil, nil, fmt.Errorf("%w: %v", ErrNotMappable, err)
+		}
 		return nil, nil, err
 	}
 	unmap := func() {
 		// The table was never built, so nothing aliases data.
-		_ = munmapFile(data)
+		_ = mmapx.Unmap(data)
 	}
-	if len(data) >= 8 {
+	if len(data) >= 8 { // the file may have shrunk since the Stat
 		magic := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
 		version := uint32(data[4]) // read before unmap
 		if magic == fileMagicV2 || magic == fileMagicV3 {

@@ -95,20 +95,7 @@ func TestOpenMappedSmartTable(t *testing.T) {
 	if err := mapped.AttachGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	for h := 1; h <= tab.K; h++ {
-		for v := int32(0); int(v) < tab.N; v++ {
-			want, wantC := recEntries(tab.Rec(h, v))
-			have, haveC := recEntries(mapped.Rec(h, v))
-			if len(want) != len(have) {
-				t.Fatalf("h=%d v=%d entry count differs", h, v)
-			}
-			for i := range want {
-				if want[i] != have[i] || wantC[i] != haveC[i] {
-					t.Fatalf("h=%d v=%d entry %d differs", h, v, i)
-				}
-			}
-		}
-	}
+	equalTables(t, tab, mapped)
 	// The synthesis state is decoded onto the heap (it outlives nothing —
 	// the mapping stays up — but AttachGraph needs mutable state); only
 	// that is charged as heap bytes.
@@ -118,22 +105,15 @@ func TestOpenMappedSmartTable(t *testing.T) {
 }
 
 func TestOpenMappedRejectsLegacyFormats(t *testing.T) {
-	tab := testTable(t)
-	col := coloring.Uniform(tab.N, tab.K, 7)
-	path := t.TempDir() + "/v3.tbl"
-	if _, err := SaveFileV3(path, tab, col); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := OpenMapped(path)
+	_, _, err := OpenMapped(legacyTablePath)
 	if !errors.Is(err, ErrNotMappable) {
 		t.Fatalf("v3 file on the mapped path: %v (want ErrNotMappable)", err)
 	}
-	// The advertised fallback must actually work.
-	got, _, err := LoadFile(path)
-	if err != nil {
+	// The advertised fallback must actually work (TestLegacyV3FixtureLoads
+	// pins what it loads).
+	if _, _, err := LoadFile(legacyTablePath); err != nil {
 		t.Fatal(err)
 	}
-	equalTables(t, tab, got)
 }
 
 func TestMappedTableIsReadOnly(t *testing.T) {

@@ -65,8 +65,8 @@ import (
 //
 // Version 3 ("MvT3") files — no checksums, no directory, no alignment,
 // sections streamed back-to-back — and version 2 ("MvT2", additionally
-// predating smart stars) still load via the heap path; SaveV3 still
-// writes version 3 for downgrade scenarios.
+// predating smart stars) still load via the heap path; nothing writes
+// them any more (testdata/legacy-v3.tbl pins the reader).
 
 const (
 	fileMagicV2 = uint32(0x4d765432) // "MvT2"
@@ -95,17 +95,6 @@ func (t *Table) storedSizeMin() int {
 	return 1
 }
 
-// checkSaveable validates the (table, coloring) pair both writers share.
-func checkSaveable(t *Table, col *coloring.Coloring) error {
-	if col != nil && len(col.Colors) != t.N {
-		return fmt.Errorf("table: coloring covers %d nodes, table has %d", len(col.Colors), t.N)
-	}
-	if t.smart != nil && col == nil {
-		return fmt.Errorf("table: a smart table must be saved with its coloring")
-	}
-	return nil
-}
-
 // saveFlags computes the format flag word for t saved with col.
 func saveFlags(t *Table, col *coloring.Coloring) uint32 {
 	flags := uint32(0)
@@ -122,8 +111,7 @@ func saveFlags(t *Table, col *coloring.Coloring) uint32 {
 }
 
 // metaRegion encodes the coloring and smart-degree sections into one byte
-// string — the v4 meta region (and, section by section, the exact bytes
-// the v3 writer streams).
+// string — the v4 meta region.
 func metaRegion(t *Table, col *coloring.Coloring) []byte {
 	var meta []byte
 	if col != nil {
@@ -146,8 +134,11 @@ func metaRegion(t *Table, col *coloring.Coloring) []byte {
 // own, so Save computes all sums in an in-memory pre-pass (w need not
 // seek) before streaming the sections out.
 func Save(w io.Writer, t *Table, col *coloring.Coloring) (int64, error) {
-	if err := checkSaveable(t, col); err != nil {
-		return 0, err
+	if col != nil && len(col.Colors) != t.N {
+		return 0, fmt.Errorf("table: coloring covers %d nodes, table has %d", len(col.Colors), t.N)
+	}
+	if t.smart != nil && col == nil {
+		return 0, fmt.Errorf("table: a smart table must be saved with its coloring")
 	}
 	storedMin := t.storedSizeMin()
 	// A smart table with k below the smallest stored size is fully
@@ -233,51 +224,6 @@ func Save(w io.Writer, t *Table, col *coloring.Coloring) (int64, error) {
 		pos = layout[i].arenaOff + layout[i].arenaLen
 	}
 	return total, bw.Flush()
-}
-
-// SaveV3 serializes the table in the previous format version 3 — no
-// checksums, no directory, no alignment — for downgrade scenarios and for
-// exercising the legacy load path. New tables should use Save.
-func SaveV3(w io.Writer, t *Table, col *coloring.Coloring) (int64, error) {
-	if err := checkSaveable(t, col); err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var n int64
-	write := func(data any) error {
-		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-			return err
-		}
-		n += int64(binary.Size(data))
-		return nil
-	}
-	for _, v := range []uint32{fileMagicV3, 3, uint32(t.K), saveFlags(t, col)} {
-		if err := write(v); err != nil {
-			return n, err
-		}
-	}
-	if err := write(uint64(t.N)); err != nil {
-		return n, err
-	}
-	if meta := metaRegion(t, col); len(meta) > 0 {
-		if _, err := bw.Write(meta); err != nil {
-			return n, err
-		}
-		n += int64(len(meta))
-	}
-	for h := t.storedSizeMin(); h <= t.K; h++ {
-		lv := &t.levels[h]
-		if err := write(uint64(len(lv.arena))); err != nil {
-			return n, err
-		}
-		if err := write(lv.starts); err != nil {
-			return n, err
-		}
-		if err := write(lv.arena); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
 }
 
 // WriteTo serializes the table without a coloring section. It returns the
@@ -647,20 +593,6 @@ func SaveFile(path string, t *Table, col *coloring.Coloring) (int64, error) {
 		return 0, err
 	}
 	n, err := Save(f, t, col)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return n, err
-}
-
-// SaveFileV3 is SaveFile in the legacy format version 3 (`motivo build
-// -format 3`): readable by older binaries, heap-open only.
-func SaveFileV3(path string, t *Table, col *coloring.Coloring) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := SaveV3(f, t, col)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

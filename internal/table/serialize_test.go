@@ -2,8 +2,10 @@ package table
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
@@ -34,7 +36,8 @@ func testTable(t *testing.T) *Table {
 	return tab
 }
 
-// equalTables compares two tables entry by entry.
+// equalTables compares two tables entry by entry, synthesized records
+// included (a smart table needs its graph attached).
 func equalTables(t *testing.T, a, b *Table) {
 	t.Helper()
 	if a.K != b.K || a.N != b.N || a.ZeroRooted != b.ZeroRooted {
@@ -42,14 +45,13 @@ func equalTables(t *testing.T, a, b *Table) {
 	}
 	for h := 1; h <= a.K; h++ {
 		for v := int32(0); int(v) < a.N; v++ {
-			ra, rb := a.Rec(h, v), b.Rec(h, v)
-			if ra.Len() != rb.Len() {
+			ka, ca := recEntries(a.Rec(h, v))
+			kb, cb := recEntries(b.Rec(h, v))
+			if len(ka) != len(kb) {
 				t.Fatalf("h=%d v=%d length mismatch", h, v)
 			}
-			for i := 0; i < ra.Len(); i++ {
-				ka, ca := ra.Packed().At(i)
-				kb, cb := rb.Packed().At(i)
-				if ka != kb || ca != cb {
+			for i := range ka {
+				if ka[i] != kb[i] || ca[i] != cb[i] {
 					t.Fatalf("h=%d v=%d entry %d mismatch", h, v, i)
 				}
 			}
@@ -121,30 +123,47 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestSaveV3RoundTrip pins downgrade compatibility: the legacy writer
-// still produces loadable MvT3 files, and the heap loader reads them back
-// entry-identical — old tables (and tables written for old readers) keep
-// working without the v4 checksums or directory.
-func TestSaveV3RoundTrip(t *testing.T) {
-	tab := testTable(t)
-	col := coloring.Uniform(tab.N, tab.K, 42)
-	var buf bytes.Buffer
-	if _, err := SaveV3(&buf, tab, col); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(buf.Bytes()); got != fileMagicV3 {
-		t.Fatalf("SaveV3 wrote magic %#x, want %#x", got, fileMagicV3)
-	}
-	got, gotCol, err := Load(&buf)
+// Legacy fixture pair: an ER(60,180) graph and the MvT3 table the last
+// version-3 writer built over it at k=4 (`motivo gen -type er -n 60 -m 180
+// -seed 41`, then `motivo build -k 4 -seed 43 -format 3`). Nothing writes
+// v3 any more, so these bytes are what pins the legacy reader.
+const (
+	legacyGraphPath = "testdata/legacy-v3.txt"
+	legacyTablePath = "testdata/legacy-v3.tbl"
+	// legacyV4SHA256 is the SHA-256 of the v4 file the same build wrote
+	// with -format 4: a v3 load re-saved as v4 must reproduce it exactly.
+	legacyV4SHA256 = "715c100bd66776a54a1f7cf26d729ed3741ced438dfeba779faacd9276b83381"
+)
+
+// TestLegacyV3FixtureLoads pins backward compatibility against real MvT3
+// bytes: the heap loader reads the checked-in file with its coloring, the
+// result is not a mapping, and re-saving it yields byte-for-byte the v4
+// file the same build produces — old tables keep working without the v4
+// checksums or directory, and upgrade losslessly.
+func TestLegacyV3FixtureLoads(t *testing.T) {
+	raw, err := os.ReadFile(legacyTablePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalTables(t, tab, got)
-	if gotCol == nil || !bytes.Equal(gotCol.Colors, col.Colors) || gotCol.PColorful != col.PColorful {
-		t.Error("coloring lost through the v3 round trip")
+	if got := binary.LittleEndian.Uint32(raw); got != fileMagicV3 {
+		t.Fatalf("fixture magic %#x, want %#x", got, fileMagicV3)
+	}
+	got, gotCol, err := LoadFile(legacyTablePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotCol == nil || gotCol.K != got.K || len(gotCol.Colors) != got.N {
+		t.Fatal("coloring lost through the v3 load")
 	}
 	if got.Mapped() {
 		t.Error("a v3 load must not report a mapping")
+	}
+	var v4 bytes.Buffer
+	if _, err := Save(&v4, got, gotCol); err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(v4.Bytes())); sum != legacyV4SHA256 {
+		t.Errorf("v3 fixture re-saved as v4 hashes to %s, want %s", sum, legacyV4SHA256)
 	}
 }
 
@@ -196,11 +215,12 @@ func TestReadTableRejectsGarbage(t *testing.T) {
 func TestOpenErrorSurface(t *testing.T) {
 	tab := testTable(t) // k=3, materialized: three dir entries at 48/80/112
 	col := coloring.Uniform(tab.N, tab.K, 5)
-	var v4, v3 bytes.Buffer
+	var v4 bytes.Buffer
 	if _, err := Save(&v4, tab, col); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SaveV3(&v3, tab, col); err != nil {
+	v3, err := os.ReadFile(legacyTablePath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	metaOff := headerSize + 3*dirEntrySize // first meta byte (PColorful bits)
@@ -259,7 +279,7 @@ func TestOpenErrorSurface(t *testing.T) {
 		{name: "corrupt-arena-payload", data: mutate(v4.Bytes(), func(d []byte) {
 			d[v4.Len()-1] ^= 0x40 // last arena byte, level k
 		}), mappedLazy: true},
-		{name: "legacy-v3-file", data: func() []byte { return v3.Bytes() },
+		{name: "legacy-v3-file", data: func() []byte { return v3 },
 			heapOK: true, mappedNotMappable: true},
 	}
 	for _, tc := range cases {

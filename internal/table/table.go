@@ -242,7 +242,7 @@ func (t *Table) HeapBytes() int64 {
 
 // Pairs returns the total number of (key, count) pairs physically stored.
 // Synthesized entries are not counted: they occupy no bytes, which is the
-// point of smart stars (LogicalPairs counts them too).
+// point of smart stars.
 func (t *Table) Pairs() int64 {
 	var p int64
 	for h := 1; h <= t.K; h++ {
@@ -256,23 +256,6 @@ func (t *Table) Pairs() int64 {
 				panic(fmt.Sprintf("table: corrupt record: %v", err))
 			}
 			p += int64(r.Len())
-		}
-	}
-	return p
-}
-
-// LogicalPairs returns the number of (key, count) pairs the table serves,
-// synthesized entries included — equal to Pairs on a materialized table.
-// The graph must be attached on smart tables.
-func (t *Table) LogicalPairs() int64 {
-	if t.smart == nil {
-		return t.Pairs()
-	}
-	var p int64
-	cache := NewSynthCache()
-	for h := 1; h <= t.K; h++ {
-		for v := int32(0); int(v) < t.N; v++ {
-			p += int64(t.Rec(h, v).WithCache(cache).Len())
 		}
 	}
 	return p
