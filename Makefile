@@ -11,9 +11,13 @@ GO ?= go
 # benches) runs time-based with
 # -count=5 under an explicit GOMAXPROCS, and the compare gate takes the
 # per-metric best of the five runs — one preempted run on a shared runner
-# cannot fail the gate. BENCH_TOLERANCE absorbs what remains (runner-to-runner CPU
-# variance); allocation metrics are machine-independent, so real
-# regressions still surface well inside it.
+# cannot fail the gate. BENCH_TOLERANCE bounds time and rate metrics only
+# and absorbs what remains (runner-to-runner CPU variance). Allocation
+# metrics are machine-independent, so cmd/benchjson holds them to a fixed
+# tight bound instead: B/op may rise 5%, allocs/op 5% and 2 allocations.
+# An allocation metric whose five baseline runs already spread wider than
+# that (the two-worker BuildSharded arms, whose per-worker memos follow the
+# schedule) keeps BENCH_TOLERANCE.
 BENCH_GOMAXPROCS ?= 1
 BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen|BenchmarkSmartSynthesis|BenchmarkBuildSharded|BenchmarkSignatures|BenchmarkRunToPrecision)
 BENCH_GATED_TIME ?= 400ms

@@ -77,6 +77,67 @@ func TestCompareDirections(t *testing.T) {
 	}
 }
 
+// TestCompareAllocBounds: allocation metrics fail beyond 5% whatever the
+// time tolerance, with 2 allocs of slack on allocs/op; time keeps the
+// tolerance.
+func TestCompareAllocBounds(t *testing.T) {
+	for _, tc := range []struct {
+		unit       string
+		old, new   float64
+		wantStatus string
+	}{
+		{"allocs/op", 37, 59, statusRegression}, // +59%: far inside a 60% tolerance, still a regression
+		{"allocs/op", 37, 39, statusOK},         // +5.4% but only 2 allocs: the slack
+		{"allocs/op", 37, 40, statusRegression}, // +8.1% and 3 allocs
+		{"allocs/op", 1000, 1049, statusOK},     // +4.9%: inside the bound
+		{"allocs/op", 1000, 1051, statusRegression},
+		{"allocs/op", 0, 3, statusRegression}, // from zero, beyond the slack
+		{"allocs/op", 1402, 50, statusImproved},
+		{"B/op", 1000, 1060, statusRegression}, // +6%
+		{"B/op", 1000, 1040, statusOK},
+		{"B/op", 0, 8, statusRegression},
+		{"ns/op", 1000, 1500, statusOK},            // +50%: time keeps the 60% tolerance
+		{"ns/op", 1000, 1700, statusRegression},    // +70%
+		{"samples/s", 1000, 500, statusOK},         // -50% rate
+		{"samples/s", 1000, 300, statusRegression}, // -70% rate
+	} {
+		old := doc(bench("BenchmarkF", map[string]float64{tc.unit: tc.old}))
+		new_ := doc(bench("BenchmarkF", map[string]float64{tc.unit: tc.new}))
+		if d := statusOf(t, compareDocs(old, new_, 60), "BenchmarkF", tc.unit); d.Status != tc.wantStatus {
+			t.Errorf("%s %g -> %g at tolerance 60: got %q, want %q", tc.unit, tc.old, tc.new, d.Status, tc.wantStatus)
+		}
+	}
+}
+
+// TestCompareUnsteadyAllocsKeepTolerance: an allocation metric whose
+// baseline runs already disagree by more than the tight bound (a
+// two-worker build's counts follow the schedule) is held to the time
+// tolerance; one whose runs agree keeps the tight bound.
+func TestCompareUnsteadyAllocsKeepTolerance(t *testing.T) {
+	old := doc(
+		bench("BenchmarkG", map[string]float64{"allocs/op": 85000, "B/op": 8.4e6}),
+		bench("BenchmarkG", map[string]float64{"allocs/op": 101000, "B/op": 1.0e7}),
+		bench("BenchmarkH", map[string]float64{"allocs/op": 37, "B/op": 1000}),
+		bench("BenchmarkH", map[string]float64{"allocs/op": 38, "B/op": 1010}),
+	)
+	for _, tc := range []struct {
+		name, unit string
+		new        float64
+		want       string
+	}{
+		{"BenchmarkG", "allocs/op", 95000, statusOK}, // +11.8% over the best run
+		{"BenchmarkG", "B/op", 9.5e6, statusOK},
+		{"BenchmarkG", "allocs/op", 150000, statusRegression}, // +76%
+		{"BenchmarkH", "allocs/op", 40, statusRegression},
+		{"BenchmarkH", "B/op", 1060, statusRegression},
+	} {
+		new_ := doc(bench(tc.name, map[string]float64{tc.unit: tc.new}))
+		if d := statusOf(t, compareDocs(old, new_, 60), tc.name, tc.unit); d.Status != tc.want {
+			t.Errorf("%s %s -> %g: got %q, want %q", tc.name, tc.unit, tc.new, d.Status, tc.want)
+		}
+	}
+}
+
 func TestCompareMissingMetricFails(t *testing.T) {
 	old := doc(bench("BenchmarkC", map[string]float64{"ns/op": 100, "ms/open": 2}))
 	new_ := doc(bench("BenchmarkC", map[string]float64{"ns/op": 100}))

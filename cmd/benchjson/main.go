@@ -13,8 +13,11 @@
 // With -compare, benchjson becomes the regression gate instead of the
 // converter: it diffs the one JSON file argument against the baseline per
 // (benchmark, metric) — best-of-count on each side — prints a table, and
-// exits non-zero when anything regressed beyond -tolerance percent or went
-// missing:
+// exits non-zero when anything regressed beyond its bound or went missing.
+// Time and rate metrics are bound by -tolerance percent; B/op by 5%, and
+// allocs/op by 5% and 2 allocations, since allocation counts do not depend
+// on the host — unless the baseline's own runs of the metric spread wider
+// than that, which leaves it at -tolerance:
 //
 //	benchjson -compare BENCH_baseline.json -tolerance 20 BENCH_ci.json
 package main
@@ -156,7 +159,7 @@ func run(out string, paths []string) error {
 func main() {
 	out := flag.String("o", "", "output JSON file (default stdout)")
 	compare := flag.String("compare", "", "baseline JSON file: compare the one JSON file argument against it and exit non-zero on regressions")
-	tolerance := flag.Float64("tolerance", 20, "with -compare, allowed regression per (benchmark, metric) in percent")
+	tolerance := flag.Float64("tolerance", 20, "with -compare, allowed regression in percent of time and rate metrics, and of allocation metrics whose baseline runs disagree (the others have a fixed 5% bound)")
 	flag.Parse()
 	if *compare != "" {
 		if flag.NArg() != 1 {

@@ -18,6 +18,38 @@ import (
 // off. The estimators lean on this: restructuring their loops around
 // batches must not change any seeded result.
 
+// cacheArms is the caches-on/off matrix: both shared caches at their
+// default budgets, both off, and each one on alone.
+var cacheArms = []struct {
+	name           string
+	decode, sweeps int
+}{
+	{"true", DefaultDecodePairBudget, DefaultSweepCandBudget},
+	{"false", 0, 0},
+	{"decode-only", DefaultDecodePairBudget, 0},
+	{"sweeps-only", 0, DefaultSweepCandBudget},
+}
+
+// checkRootResidency pins the residency rule: after draws, the decoded-
+// record cache holds size-k root records and nothing else.
+func checkRootResidency(t *testing.T, u *Urn) {
+	t.Helper()
+	pairs := 0
+	for v := int32(0); int(v) < u.G.NumNodes(); v++ {
+		for h := 1; h < u.K; h++ {
+			if d, _ := u.decode.Lookup(h, v); d != nil {
+				t.Fatalf("decoded size-%d record of node %d is resident; only size-%d roots may be", h, v, u.K)
+			}
+		}
+		if d, _ := u.decode.Lookup(u.K, v); d != nil {
+			pairs += d.Len()
+		}
+	}
+	if pairs == 0 || pairs != u.decode.Pairs() {
+		t.Fatalf("root records hold %d of the cache's %d decoded pairs", pairs, u.decode.Pairs())
+	}
+}
+
 type draw struct {
 	code  graphlet.Code
 	nodes []int32
@@ -49,16 +81,14 @@ func TestSampleBatchBitIdentical(t *testing.T) {
 			for i := 0; i < total; i++ {
 				want = append(want, record(ref.Sample(rng)))
 			}
-			for _, caches := range []bool{true, false} {
+			for _, arm := range cacheArms {
 				for _, batch := range []int{1, 7, 64} {
-					t.Run(fmt.Sprintf("caches=%v/batch=%d", caches, batch), func(t *testing.T) {
+					t.Run(fmt.Sprintf("caches=%s/batch=%d", arm.name, batch), func(t *testing.T) {
 						urn, err := NewUrn(g, col, tc.tab, cat)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !caches {
-							urn.SetCacheBudgets(0, 0)
-						}
+						urn.SetCacheBudgets(arm.decode, arm.sweeps)
 						rng := rand.New(rand.NewSource(seed))
 						got := make([]draw, 0, total)
 						for len(got) < total {
@@ -76,6 +106,9 @@ func TestSampleBatchBitIdentical(t *testing.T) {
 								t.Fatalf("draw %d differs: want %v%v, got %v%v",
 									i, want[i].code, want[i].nodes, got[i].code, got[i].nodes)
 							}
+						}
+						if arm.decode > 0 {
+							checkRootResidency(t, urn)
 						}
 					})
 				}
@@ -96,14 +129,12 @@ func TestShapeSampleBatchBitIdentical(t *testing.T) {
 		{"smart", tabSmart},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mkShape := func(cacheOn bool) map[string]*ShapeUrn {
+			mkShape := func(decode, sweeps int) (*Urn, map[string]*ShapeUrn) {
 				urn, err := NewUrn(g, col, tc.tab, cat)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !cacheOn {
-					urn.SetCacheBudgets(0, 0)
-				}
+				urn.SetCacheBudgets(decode, sweeps)
 				out := make(map[string]*ShapeUrn)
 				for _, shape := range cat.UnrootedK {
 					su, err := urn.NewShapeUrn(shape)
@@ -114,9 +145,9 @@ func TestShapeSampleBatchBitIdentical(t *testing.T) {
 						out[fmt.Sprint(shape)] = su
 					}
 				}
-				return out
+				return urn, out
 			}
-			refs := mkShape(true)
+			_, refs := mkShape(DefaultDecodePairBudget, DefaultSweepCandBudget)
 			if len(refs) == 0 {
 				t.Fatal("no shape had occurrences — vacuous run")
 			}
@@ -127,10 +158,11 @@ func TestShapeSampleBatchBitIdentical(t *testing.T) {
 					want[name] = append(want[name], record(su.Sample(rng)))
 				}
 			}
-			for _, caches := range []bool{true, false} {
+			for _, arm := range cacheArms {
 				for _, batch := range []int{1, 7, 64} {
-					t.Run(fmt.Sprintf("caches=%v/batch=%d", caches, batch), func(t *testing.T) {
-						for name, su := range mkShape(caches) {
+					t.Run(fmt.Sprintf("caches=%s/batch=%d", arm.name, batch), func(t *testing.T) {
+						urn, sus := mkShape(arm.decode, arm.sweeps)
+						for name, su := range sus {
 							rng := rand.New(rand.NewSource(seed))
 							var got []draw
 							for len(got) < total {
@@ -146,6 +178,9 @@ func TestShapeSampleBatchBitIdentical(t *testing.T) {
 									t.Fatalf("shape %s draw %d differs", name, i)
 								}
 							}
+						}
+						if arm.decode > 0 {
+							checkRootResidency(t, urn)
 						}
 					})
 				}

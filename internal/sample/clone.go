@@ -1,19 +1,20 @@
 package sample
 
 import (
-	"repro/internal/graphlet"
 	"repro/internal/table"
 	"repro/internal/treelet"
 )
 
 // Clone returns an independent Urn over the same (immutable) graph, table
-// and catalog: fresh neighbor buffers and canonicalization cache, shared
-// alias table (it is read-only after construction) and shared
-// decoded-record/sweep caches (concurrency-safe; their entries are pure
-// functions of the table, so sharing only amortizes, never perturbs). Use
-// one clone per goroutine — the paper's sampling phase is embarrassingly
-// parallel ("samples are by definition independent and are taken by
-// different threads", Section 3.3).
+// and catalog: fresh neighbor buffers and synthesis memo, shared alias
+// table (it is read-only after construction) and shared decoded-record,
+// sweep and canonical-form caches (concurrency-safe; their entries are
+// pure functions of the table, so sharing only amortizes, never perturbs).
+// Only for k > 6 does a clone keep its own canonical-form memo, created on
+// its first draw and freed with it. Use one clone per goroutine — the
+// paper's sampling phase is embarrassingly parallel ("samples are by
+// definition independent and are taken by different threads", Section
+// 3.3).
 func (u *Urn) Clone() *Urn {
 	return &Urn{
 		G: u.G, Col: u.Col, Tab: u.Tab, Cat: u.Cat, K: u.K,
@@ -23,19 +24,19 @@ func (u *Urn) Clone() *Urn {
 		rootAlias:       u.rootAlias,
 		total:           u.total,
 		buffers:         make(map[bufKey][]childChoice),
-		canonCache:      make(map[graphlet.Code]graphlet.Code),
 		synthCache:      table.NewSynthCache(),
 		decode:          u.decode, // concurrency-safe, shared across clones
 		sweeps:          u.sweeps,
+		canon:           u.canon,
 	}
 }
 
 // CloneOnto returns a ShapeUrn that shares s's immutable root-alias state
 // (roots, alias table, rootings, total) but materializes copies through u,
-// so neighbor buffers and the canonicalization cache stay goroutine-local.
-// u must be a Clone of the Urn the shape urn was built from (same graph,
-// table and catalog); the per-shape alias state is valid only against that
-// table.
+// so neighbor buffers stay goroutine-local and draws read u's shared
+// caches. u must be a Clone of the Urn the shape urn was built from (same
+// graph, table and catalog); the per-shape alias state is valid only
+// against that table.
 func (s *ShapeUrn) CloneOnto(u *Urn) *ShapeUrn {
 	return &ShapeUrn{
 		Shape:     s.Shape,

@@ -57,10 +57,11 @@ func TestSampleNodesAreColorfulTreelets(t *testing.T) {
 			}
 			cs = cs.Union(c)
 		}
-		if !graphlet.IsConnected(k, codeOf(g, nodes)) {
+		induced := u.Induced(nodes)
+		if !graphlet.IsConnected(k, induced) {
 			t.Fatal("sampled nodes not connected")
 		}
-		if code != u.Induced(nodes) {
+		if code != induced {
 			t.Fatal("returned code does not match induced subgraph")
 		}
 	}

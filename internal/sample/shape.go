@@ -175,7 +175,7 @@ func (s *ShapeUrn) SampleBatch(rng *rand.Rand, n int, fn func(graphlet.Code, []i
 func (s *ShapeUrn) sampleOne(rng *rand.Rand) (graphlet.Code, []int32) {
 	u := s.urn
 	v := s.roots[s.rootAlias.Next(rng)]
-	d := u.decRec(u.K, v)
+	d := u.rootRec(v)
 	var rec table.View
 	if d == nil {
 		rec = u.view(u.K, v)

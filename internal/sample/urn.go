@@ -20,22 +20,30 @@
 //
 // # The batched hot path
 //
-// Sampling revisits the same few hundred hot records millions of times, so
-// per-draw varint decode and per-sweep recomputation dominate the naive
-// implementation. Every urn therefore amortizes three ways, and
-// SampleBatch exposes the draw loop the estimators consume:
+// Sampling revisits the same few thousand hot records millions of times,
+// so per-draw varint decode, per-sweep recomputation and per-draw graphlet
+// naming dominate the naive implementation. Every urn therefore amortizes
+// four ways, and SampleBatch exposes the draw loop the estimators consume:
 //
-//   - a decoded-record cache (table.DecodedCache) flattens hot records —
-//     synthesis included — into sorted key + cumulative-count arrays, so
-//     occ/count/iter/sample become binary searches instead of varint walks;
+//   - a decoded-record cache (table.DecodedCache) holds the size-k root
+//     records — synthesis included — as sorted key + cumulative-count
+//     arrays, so the one record read of every draw is a binary search
+//     instead of a varint walk; lower-level records are read only by
+//     sweeps, which the sweep cache computes once, so they stay packed;
 //   - a sweep cache memoizes chooseChild's candidate distribution per
 //     (node, colored treelet), so repeat visits pay one Float64 and one
-//     binary search instead of a full neighbor sweep;
-//   - scratch buffers (sampled nodes, rooted-form cumulatives) are reused
-//     across the draws of a batch instead of allocated per draw.
+//     binary search instead of a full neighbor sweep; its entries store the
+//     first-child shape once and each candidate as (neighbor, color set);
+//   - the graphlet is named from the walk: the k−1 tree edges sampleCopy
+//     walks set their raw-code bits directly, only the other pairs are
+//     tested for adjacency, and the raw code is canonicalized through one
+//     table shared by every clone (a dense, lazily filled array over all
+//     raw codes for k ≤ 6; a per-clone map for larger k);
+//   - scratch buffers (sampled nodes, rooted-form cumulatives, neighbor
+//     buffers) are reused across draws instead of allocated per draw.
 //
-// All three are invisible to results: cached values are bit-identical to
-// what recomputation would produce and RNG consumption per draw is
+// All of these are invisible to results: cached values are bit-identical
+// to what recomputation would produce and RNG consumption per draw is
 // unchanged, so a SampleBatch sequence equals repeated Sample calls
 // draw-for-draw at equal seed — with caches on, off, or any mix. The
 // determinism tests in batch_test.go pin this down.
@@ -46,6 +54,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/alias"
 	"repro/internal/coloring"
@@ -56,14 +65,17 @@ import (
 	"repro/internal/u128"
 )
 
-// DefaultDecodePairBudget caps the decoded-record cache: decoded pairs
-// cost ~24 bytes each, so the default bounds the cache near 6 MB per urn
-// (the cache is shared by all clones) — enough to keep every hot record of
-// the paper-scale workloads resident.
+// DefaultDecodePairBudget caps the decoded-record cache, which holds only
+// size-k root records: decoded pairs cost ~24 bytes each, so the default
+// bounds the cache near 6 MB per urn (the cache is shared by all clones).
+// Roots are drawn in proportion to occ(v), so first-come admission takes
+// the heaviest roots first; every root record of the paper-scale
+// workloads fits.
 const DefaultDecodePairBudget = 1 << 18
 
 // DefaultSweepCandBudget caps the sweep cache by total cached candidates
-// (~24 bytes each); see DefaultDecodePairBudget for the sizing rationale.
+// (16 bytes each, cumulative weight included); see DefaultDecodePairBudget
+// for the sizing rationale.
 const DefaultSweepCandBudget = 1 << 18
 
 // Urn draws uniform colorful k-treelet occurrences and their induced
@@ -87,17 +99,19 @@ type Urn struct {
 	total     u128.Uint128
 
 	buffers    map[bufKey][]childChoice
-	canonCache map[graphlet.Code]graphlet.Code
 	synthCache *table.SynthCache // smart-star neighbor sums of recently read nodes
 
 	// The amortization caches hold pure functions of the immutable table,
-	// so they are concurrency-safe and shared across clones: a record is
-	// decoded (and a sweep computed) once per urn lifetime, not once per
-	// clone or per query.
+	// so they are concurrency-safe and shared across clones: a root record
+	// is decoded, a sweep computed and a raw code canonicalized once per
+	// urn lifetime, not once per clone or per query.
 	decode *table.DecodedCache
 	sweeps *sweepCache
+	canon  *canonTable // nil for k > denseCanonK; canonMemo serves those
 
-	nodesBuf []int32 // sampled-copy scratch, reused across draws
+	canonMemo map[uint64]uint64 // per-clone raw → canonical code, k > denseCanonK
+	nodesBuf  []int32           // sampled-copy scratch, reused across draws
+	treeBits  uint64            // raw-code bits of the tree edges the draw walked
 
 	// Per-urn draw statistics, read by the benchmark ladder's sample rungs.
 	Sweeps     int64 // neighbor sweeps performed (sweep-cache misses)
@@ -114,13 +128,57 @@ type childChoice struct {
 	cpp treelet.Colored
 }
 
+// sweepCand is one candidate of a sweep: the neighbor and the color set of
+// its first-child part, whose shape the entry stores once.
+type sweepCand struct {
+	u  int32
+	cs treelet.ColorSet
+}
+
 // sweepEntry is one memoized chooseChild distribution: the candidate
-// (neighbor, colored first-child) pairs in sweep order with their float
-// cumulative weights. Values are exactly what a fresh sweep would compute.
+// (neighbor, first-child colors) pairs in sweep order with their float
+// cumulative weights, and the first-child shape every candidate shares.
+// Values are exactly what a fresh sweep would compute.
 type sweepEntry struct {
-	cands []childChoice
+	tpp   treelet.Treelet
+	cands []sweepCand
 	cum   []float64
 	total float64
+}
+
+// denseCanonK is the largest k whose raw codes get a dense canonical
+// table: 2^(k(k-1)/2) slots of 4 bytes is 128 KiB at k=6 and 8 MiB at k=7.
+const denseCanonK = 6
+
+// canonFilled marks a computed canonTable slot; canonical codes of
+// k ≤ denseCanonK fit in the low 15 bits, so 0 can mean "not yet computed".
+const canonFilled = 1 << 31
+
+// canonTable is the engine-wide canonical-form memo for k ≤ denseCanonK:
+// one lazily filled slot per raw code. A canonical form is a pure function
+// of the raw code, so concurrent fills store the same value and the table
+// needs no lock.
+type canonTable struct {
+	k     int
+	slots []atomic.Uint32
+}
+
+func newCanonTable(k int) *canonTable {
+	if k > denseCanonK {
+		return nil
+	}
+	return &canonTable{k: k, slots: make([]atomic.Uint32, 1<<(k*(k-1)/2))}
+}
+
+// of returns the canonical form of raw, computing it on first use.
+func (t *canonTable) of(raw uint64) graphlet.Code {
+	slot := &t.slots[raw]
+	if c := slot.Load(); c != 0 {
+		return graphlet.Code{Lo: uint64(c &^ canonFilled)}
+	}
+	canon := graphlet.Canonical(t.k, graphlet.Code{Lo: raw})
+	slot.Store(uint32(canon.Lo) | canonFilled)
+	return canon
 }
 
 // sweepCache memoizes sweep distributions under a total candidate budget;
@@ -177,10 +235,10 @@ func NewUrn(g *graph.Graph, col *coloring.Coloring, tab *table.Table, cat *treel
 		BufferThreshold: 10000,
 		BufferSize:      100,
 		buffers:         make(map[bufKey][]childChoice),
-		canonCache:      make(map[graphlet.Code]graphlet.Code),
 		synthCache:      table.NewSynthCache(),
 		decode:          table.NewDecodedCache(DefaultDecodePairBudget),
 		sweeps:          newSweepCache(DefaultSweepCandBudget),
+		canon:           newCanonTable(k),
 	}
 	n := g.NumNodes()
 	totals := make([]u128.Uint128, n)
@@ -252,20 +310,25 @@ func (u *Urn) view(h int, v int32) table.View {
 	return u.Tab.Rec(h, v).WithCache(u.synthCache)
 }
 
-// SetCacheBudgets replaces the urn's shared amortization caches with fresh
-// ones holding at most decodePairs decoded pairs and sweepCands sweep
-// candidates (≤ 0 disables the respective cache — results are unchanged,
-// only slower). Call before the first draw and before cloning; existing
-// clones keep the old caches.
+// SetCacheBudgets replaces the urn's shared decoded-record and sweep
+// caches with fresh ones holding at most decodePairs decoded root pairs
+// and sweepCands sweep candidates (≤ 0 disables the respective cache —
+// results are unchanged, only slower). Call before the first draw and
+// before cloning; existing clones keep the old caches. The canonical-form
+// table is not a budgeted cache and stays shared.
 func (u *Urn) SetCacheBudgets(decodePairs, sweepCands int) {
 	u.decode = table.NewDecodedCache(decodePairs)
 	u.sweeps = newSweepCache(sweepCands)
 }
 
-// decRec returns the decoded form of record (h, v) when the decode cache
-// admits it, nil otherwise (caller falls back to the packed view).
-func (u *Urn) decRec(h int, v int32) *table.Decoded {
-	return u.decode.Get(h, v, u.view(h, v))
+// rootRec returns the decoded size-k record of root v when the decode
+// cache holds or admits it, nil otherwise (caller falls back to the packed
+// view). A hit builds no View.
+func (u *Urn) rootRec(v int32) *table.Decoded {
+	if d, admits := u.decode.Lookup(u.K, v); d != nil || !admits {
+		return d
+	}
+	return u.decode.Get(u.K, v, u.view(u.K, v))
 }
 
 // Sample draws one uniform colorful k-treelet copy and returns the
@@ -304,7 +367,7 @@ func (u *Urn) SampleBatch(rng *rand.Rand, n int, fn func(graphlet.Code, []int32)
 func (u *Urn) sampleOne(rng *rand.Rand) (graphlet.Code, []int32) {
 	v := u.roots[u.rootAlias.Next(rng)]
 	var tc treelet.Colored
-	if d := u.decRec(u.K, v); d != nil {
+	if d := u.rootRec(v); d != nil {
 		tc = d.Sample(rng)
 	} else {
 		tc = u.view(u.K, v).Sample(rng)
@@ -313,38 +376,85 @@ func (u *Urn) sampleOne(rng *rand.Rand) (graphlet.Code, []int32) {
 }
 
 // materialize expands a rooted colored treelet choice at v into a concrete
-// copy and canonicalizes its induced subgraph. The returned node slice is
-// the urn's reusable scratch buffer.
+// copy and names the graphlet it induces. The returned node slice is the
+// urn's reusable scratch buffer.
 func (u *Urn) materialize(v int32, tc treelet.Colored, rng *rand.Rand) (graphlet.Code, []int32) {
 	if u.nodesBuf == nil {
 		u.nodesBuf = make([]int32, 0, u.K)
 	}
 	u.nodesBuf = u.nodesBuf[:0]
-	u.sampleCopy(v, tc, rng, &u.nodesBuf)
-	return u.Induced(u.nodesBuf), u.nodesBuf
+	u.treeBits = 0
+	u.sampleCopy(v, tc, rng)
+	return u.canonical(u.inducedBits()), u.nodesBuf
 }
 
-// sampleCopy recursively samples a uniform copy of tc rooted at v,
-// appending the copy's nodes to out.
-func (u *Urn) sampleCopy(v int32, tc treelet.Colored, rng *rand.Rand, out *[]int32) {
+// sampleCopy recursively samples a uniform copy of tc rooted at v. It
+// appends the copy's nodes to nodesBuf, v first, and sets the raw-code bit
+// of every tree edge it walks in treeBits.
+func (u *Urn) sampleCopy(v int32, tc treelet.Colored, rng *rand.Rand) {
 	if tc.Tree() == treelet.Leaf {
-		*out = append(*out, v)
+		u.nodesBuf = append(u.nodesBuf, v)
 		return
 	}
+	at := len(u.nodesBuf) // the rest part below appends v here
 	ch := u.chooseChild(v, tc, rng)
 	tp := u.Cat.Rest(tc.Tree())
 	cp := treelet.MakeColored(tp, tc.Colors()&^ch.cpp.Colors())
-	u.sampleCopy(v, cp, rng, out)
-	u.sampleCopy(ch.u, ch.cpp, rng, out)
+	u.sampleCopy(v, cp, rng)
+	u.treeBits |= 1 << pairBit(at, len(u.nodesBuf)) // ch.u lands here
+	u.sampleCopy(ch.u, ch.cpp, rng)
+}
+
+// pairBit is the raw-code bit of positions i < j: graphlet.Code packs the
+// strict upper triangle column by column, pair (i, j) at j(j-1)/2 + i.
+// For k ≤ treelet.MaxK = 11 every bit lies in Code.Lo.
+func pairBit(i, j int) uint { return uint(j*(j-1)/2 + i) }
+
+// inducedBits completes the walk's tree edges to the raw code of the
+// subgraph nodesBuf induces, testing adjacency only for the pairs the walk
+// did not cover.
+func (u *Urn) inducedBits() uint64 {
+	raw, nodes := u.treeBits, u.nodesBuf
+	bit := uint64(1)
+	for j := 1; j < len(nodes); j++ {
+		for i := 0; i < j; i++ {
+			if raw&bit == 0 && u.G.HasEdge(nodes[i], nodes[j]) {
+				raw |= bit
+			}
+			bit <<= 1
+		}
+	}
+	return raw
+}
+
+// canonical returns the canonical form of a raw k-node code: from the
+// shared dense table for k ≤ denseCanonK, else from the clone's own memo,
+// which lives as long as the clone and holds at most one entry per draw.
+func (u *Urn) canonical(raw uint64) graphlet.Code {
+	if u.canon != nil {
+		return u.canon.of(raw)
+	}
+	if c, ok := u.canonMemo[raw]; ok {
+		return graphlet.Code{Lo: c}
+	}
+	if u.canonMemo == nil {
+		u.canonMemo = make(map[uint64]uint64)
+	}
+	canon := graphlet.Canonical(u.K, graphlet.Code{Lo: raw})
+	u.canonMemo[raw] = canon.Lo
+	return canon
 }
 
 // chooseChild picks the child node u ~ v and the colored first-child part
 // (T”_C”) with probability proportional to
 // c(T”_C”, u) · c(T'_{C\C”}, v), which makes every copy of tc at v
-// equally likely (each copy has exactly β_T generating choices).
+// equally likely (each copy has exactly β_T generating choices). At a node
+// of degree ≥ BufferThreshold one sweep draws BufferSize choices and keeps
+// the unused ones; a refill reuses the drained buffer's array.
 func (u *Urn) chooseChild(v int32, tc treelet.Colored, rng *rand.Rand) childChoice {
 	key := bufKey{v, tc}
-	if buf := u.buffers[key]; len(buf) > 0 {
+	buf := u.buffers[key]
+	if len(buf) > 0 {
 		ch := buf[len(buf)-1]
 		u.buffers[key] = buf[:len(buf)-1]
 		u.BufferHits++
@@ -354,21 +464,24 @@ func (u *Urn) chooseChild(v int32, tc treelet.Colored, rng *rand.Rand) childChoi
 	if len(sw.cands) == 0 {
 		panic(fmt.Sprintf("sample: no child choice for treelet %v at node %d (corrupt table?)", tc, v))
 	}
-	draws := 1
-	if u.G.Degree(v) >= u.BufferThreshold {
-		draws = u.BufferSize
+	if u.G.Degree(v) < u.BufferThreshold {
+		return sw.pick(rng)
 	}
-	if draws == 1 {
-		r := rng.Float64() * sw.total
-		return sw.cands[searchFloat(sw.cum, r)]
+	picks := buf[:0]
+	if cap(picks) < u.BufferSize {
+		picks = make([]childChoice, 0, u.BufferSize)
 	}
-	picks := make([]childChoice, draws)
-	for d := range picks {
-		r := rng.Float64() * sw.total
-		picks[d] = sw.cands[searchFloat(sw.cum, r)]
+	for d := 0; d < u.BufferSize; d++ {
+		picks = append(picks, sw.pick(rng))
 	}
-	u.buffers[key] = picks[:draws-1]
-	return picks[draws-1]
+	u.buffers[key] = picks[:len(picks)-1]
+	return picks[len(picks)-1]
+}
+
+// pick draws one candidate of the sweep by its cumulative weight.
+func (sw *sweepEntry) pick(rng *rand.Rand) childChoice {
+	c := sw.cands[searchFloat(sw.cum, rng.Float64()*sw.total)]
+	return childChoice{c.u, treelet.MakeColored(sw.tpp, c.cs)}
 }
 
 // sweepFor returns the candidate distribution of (v, tc), memoized in the
@@ -389,51 +502,35 @@ func (u *Urn) sweepFor(key bufKey) *sweepEntry {
 
 // computeSweep performs one neighbor sweep: the candidate (neighbor,
 // colored first-child) pairs of tc at v with cumulative weights
-// c(T”_C”, u) · c(T'_{C\C”}, v), reading records through the decode cache
-// when resident.
+// c(T”_C”, u) · c(T'_{C\C”}, v). It reads the lower-level records through
+// packed views: a sweep is computed once and then served from the sweep
+// cache, so decoding its inputs would only hold them in memory twice.
 func (u *Urn) computeSweep(v int32, tc treelet.Colored) *sweepEntry {
 	tree := tc.Tree()
 	tpp := u.Cat.FirstChild(tree)
 	tp := u.Cat.Rest(tree)
-	hpp, hp := tpp.Size(), tp.Size()
 	C := tc.Colors()
 
 	u.Sweeps++
-	sw := &sweepEntry{}
-	dv := u.decRec(hp, v)
-	var rv table.View
-	if dv == nil {
-		rv = u.view(hp, v)
-	}
-	countV := func(cp treelet.Colored) u128.Uint128 {
-		if dv != nil {
-			return dv.Count(cp)
-		}
-		return rv.Count(cp)
-	}
-	each := func(w int32) func(treelet.Colored, u128.Uint128) bool {
-		return func(cpp treelet.Colored, cu u128.Uint128) bool {
-			cs := cpp.Colors()
-			if cs&C != cs { // C'' must be a subset of C
-				return true
-			}
-			cp := treelet.MakeColored(tp, C&^cs)
-			cv := countV(cp)
-			if cv.IsZero() {
-				return true
-			}
-			sw.total += cv.Float64() * cu.Float64()
-			sw.cands = append(sw.cands, childChoice{w, cpp})
-			sw.cum = append(sw.cum, sw.total)
+	sw := &sweepEntry{tpp: tpp}
+	rv := u.view(tp.Size(), v)
+	var w int32
+	each := func(cpp treelet.Colored, cu u128.Uint128) bool {
+		cs := cpp.Colors()
+		if cs&C != cs { // C'' must be a subset of C
 			return true
 		}
-	}
-	for _, w := range u.G.Neighbors(v) {
-		if dw := u.decRec(hpp, w); dw != nil {
-			dw.ShapeEach(tpp, each(w))
-		} else {
-			u.view(hpp, w).ShapeEach(tpp, each(w))
+		cv := rv.Count(treelet.MakeColored(tp, C&^cs))
+		if cv.IsZero() {
+			return true
 		}
+		sw.total += cv.Float64() * cu.Float64()
+		sw.cands = append(sw.cands, sweepCand{w, cs})
+		sw.cum = append(sw.cum, sw.total)
+		return true
+	}
+	for _, w = range u.G.Neighbors(v) {
+		u.view(tpp.Size(), w).ShapeEach(tpp, each)
 	}
 	return sw
 }
@@ -454,30 +551,17 @@ func searchFloat(cum []float64, r float64) int {
 }
 
 // Induced returns the canonical code of the subgraph induced by nodes,
-// memoizing canonicalizations (sampled graphlets repeat heavily; this is
-// our stand-in for Nauty being fast).
+// computed from scratch: every pair is tested for adjacency and the code
+// is canonicalized without a memo. The draw loop names its graphlets from
+// the walk instead; Induced is the reference its tests check against.
 func (u *Urn) Induced(nodes []int32) graphlet.Code {
-	var raw graphlet.Code
-	k := len(nodes)
-	raw = codeOf(u.G, nodes)
-	if canon, ok := u.canonCache[raw]; ok {
-		return canon
-	}
-	canon := graphlet.Canonical(k, raw)
-	u.canonCache[raw] = canon
-	return canon
-}
-
-// codeOf packs the induced adjacency of nodes into a raw (uncanonicalized)
-// code using O(k² log δ) edge-membership queries.
-func codeOf(g *graph.Graph, nodes []int32) graphlet.Code {
 	var edges [][2]int
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			if g.HasEdge(nodes[i], nodes[j]) {
+	for j := 1; j < len(nodes); j++ {
+		for i := 0; i < j; i++ {
+			if u.G.HasEdge(nodes[i], nodes[j]) {
 				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
-	return graphlet.FromEdges(len(nodes), edges)
+	return graphlet.Canonical(len(nodes), graphlet.FromEdges(len(nodes), edges))
 }

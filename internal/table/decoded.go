@@ -180,28 +180,33 @@ func NewDecodedCache(budget int) *DecodedCache {
 
 func decKey(h int, v int32) uint64 { return uint64(h)<<32 | uint64(uint32(v)) }
 
+// Lookup returns the resident decoded record of (h, v), or nil, and
+// whether the cache still admits insertions. It decodes nothing, so a
+// caller can probe before it pays for building the record's View.
+func (c *DecodedCache) Lookup(h int, v int32) (d *Decoded, admits bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.RLock()
+	d = c.m[decKey(h, v)]
+	admits = c.pairs < c.budget
+	c.mu.RUnlock()
+	return d, admits
+}
+
 // Get returns the decoded record of (h, v), decoding vw on a miss. Once
 // the pair budget is spent the cache freezes and misses return nil; the
 // caller falls back to the packed view. Concurrent misses on the same
 // record may decode it twice; the first published copy wins (the copies
 // are identical, so callers cannot tell).
 func (c *DecodedCache) Get(h int, v int32, vw View) *Decoded {
-	if c == nil {
-		return nil
-	}
-	key := decKey(h, v)
-	c.mu.RLock()
-	d, ok := c.m[key]
-	frozen := c.pairs >= c.budget
-	c.mu.RUnlock()
-	if ok {
+	d, admits := c.Lookup(h, v)
+	if d != nil || !admits {
 		return d
-	}
-	if frozen {
-		return nil
 	}
 	d = &Decoded{}
 	vw.Decode(d) // outside the lock: decode may run synthesis and is slow
+	key := decKey(h, v)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prior, ok := c.m[key]; ok {
