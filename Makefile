@@ -126,49 +126,63 @@ quickstart:
 # batch, fetch per-node signatures, run a capped run-to-precision count
 # asserting its certificate (and both new counters in /metrics), check a
 # non-canonical target motif answers 400 bad_request, and keep the legacy
-# /count + /stats aliases honest (needs curl + jq). The server block runs
-# under `set -e`, so every assertion in it fails the target. One copy of
-# the script — the workflow step calls this target.
+# /count + /stats aliases honest (needs curl + jq). Last, rebuild the
+# served er table in place with another seed. The server also serves that
+# table as er-cold, whose engine reads no record after opening it; the
+# server keeps both old mappings, so er-cold answers the signatures query
+# (never cached) that er answered before the rebuild byte-identically but
+# for its name and timing. (er itself proves nothing here: its caches hold
+# every record the repeated query reads.) Everything runs under `set -e`
+# in a fresh temporary directory, removed on exit with the server stopped,
+# so every assertion fails the target. One copy of the script — the
+# workflow step calls this target.
 serve-smoke:
-	$(GO) build -o /tmp/motivo-smoke ./cmd/motivo
-	/tmp/motivo-smoke gen -type er -n 80 -m 240 -seed 1 -o /tmp/motivo-smoke-er.txt
-	/tmp/motivo-smoke build -i /tmp/motivo-smoke-er.txt -k 4 -seed 5 -o /tmp/motivo-smoke-er.tbl
-	/tmp/motivo-smoke gen -type ba -n 60 -m 3 -seed 2 -o /tmp/motivo-smoke-ba.txt
-	/tmp/motivo-smoke build -i /tmp/motivo-smoke-ba.txt -k 3 -seed 9 -o /tmp/motivo-smoke-ba.tbl
-	/tmp/motivo-smoke serve -graph er=/tmp/motivo-smoke-er.txt:/tmp/motivo-smoke-er.tbl \
-		-graph ba=/tmp/motivo-smoke-ba.txt:/tmp/motivo-smoke-ba.tbl \
-		-cache-size 64 -max-inflight 8 -addr 127.0.0.1:18080 & \
-	set -e; pid=$$!; trap 'kill $$pid 2>/dev/null || true' EXIT; \
+	set -e; dir=$$(mktemp -d); pid=; \
+	trap 'test -z "$$pid" || kill $$pid 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/motivo ./cmd/motivo; \
+	$$dir/motivo gen -type er -n 80 -m 240 -seed 1 -o $$dir/er.txt; \
+	$$dir/motivo build -i $$dir/er.txt -k 4 -seed 5 -o $$dir/er.tbl; \
+	$$dir/motivo gen -type ba -n 60 -m 3 -seed 2 -o $$dir/ba.txt; \
+	$$dir/motivo build -i $$dir/ba.txt -k 3 -seed 9 -o $$dir/ba.tbl; \
+	$$dir/motivo serve -graph er=$$dir/er.txt:$$dir/er.tbl \
+		-graph ba=$$dir/ba.txt:$$dir/ba.tbl -graph er-cold=$$dir/er.txt:$$dir/er.tbl \
+		-cache-size 64 -max-inflight 8 -addr 127.0.0.1:18080 & pid=$$!; \
 	for i in $$(seq 1 50); do curl -fsS http://127.0.0.1:18080/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	curl -fsS http://127.0.0.1:18080/v1/graphs \
-		| jq -e '(.graphs | length) == 2 and .graphs[0].name == "ba" and .graphs[1].name == "er" and (.graphs | all(.resident)) and (.graphs | all(.mappedBytes > 0))'; \
+		| jq -e '(.graphs | map(.name)) == ["ba", "er", "er-cold"] and (.graphs | all(.resident)) and (.graphs | all(.mappedBytes > 0))'; \
 	curl -fsS http://127.0.0.1:18080/metrics \
 		| awk '$$1 == "motivo_mapped_table_bytes" { found = 1; if ($$2 + 0 <= 0) exit 1 } END { exit found ? 0 : 1 }'; \
 	curl -fsS -X POST http://127.0.0.1:18080/v1/graphs/er/count \
-		-d '{"strategy":"ags","samples":5000,"seed":7,"top":3}' -o /tmp/motivo-smoke-cold.json; \
-	jq -e '.graph == "er" and .k == 4 and (.counts | length) > 0 and .samples == 5000' /tmp/motivo-smoke-cold.json; \
+		-d '{"strategy":"ags","samples":5000,"seed":7,"top":3}' -o $$dir/cold.json; \
+	jq -e '.graph == "er" and .k == 4 and (.counts | length) > 0 and .samples == 5000' $$dir/cold.json; \
 	curl -fsS -X POST http://127.0.0.1:18080/v1/graphs/er/count \
-		-d '{"strategy":"ags","samples":5000,"seed":7,"top":3}' -o /tmp/motivo-smoke-warm.json; \
-	cmp /tmp/motivo-smoke-cold.json /tmp/motivo-smoke-warm.json; \
+		-d '{"strategy":"ags","samples":5000,"seed":7,"top":3}' -o $$dir/warm.json; \
+	cmp $$dir/cold.json $$dir/warm.json; \
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_result_cache_hits_total 1$$'; \
 	curl -fsS -X POST http://127.0.0.1:18080/v1/batch \
 		-d '{"graph":"ba","queries":[{"samples":2000,"seed":1},{"samples":-1},{"samples":2000,"seed":2}]}' \
 		| jq -e '.graph == "ba" and (.results | length) == 3 and .results[0].count.k == 3 and .results[1].code == "bad_request" and .results[2].count.k == 3'; \
 	curl -fsS -X POST http://127.0.0.1:18080/v1/graphs/er/signatures \
-		-d '{"strategy":"ags","samples":4000,"seed":11,"topNodes":5}' -o /tmp/motivo-smoke-sig.json; \
-	jq -e '.graph == "er" and .k == 4 and (.motifs | length) > 0 and (.nodes | length) == 5 and (.nodes[0].vector | length) == (.motifs | length)' /tmp/motivo-smoke-sig.json; \
+		-d '{"strategy":"ags","samples":4000,"seed":11,"topNodes":5}' -o $$dir/sig.json; \
+	jq -e '.graph == "er" and .k == 4 and (.motifs | length) > 0 and (.nodes | length) == 5 and (.nodes[0].vector | length) == (.motifs | length)' $$dir/sig.json; \
 	curl -fsS -X POST http://127.0.0.1:18080/v1/graphs/er/count \
 		-d '{"epsilon":0.5,"delta":0.2,"maxSamples":4000,"seed":13}' \
 		| jq -e '.strategy == "ags" and .achieved != null and .achieved.samples <= 4000 and .achieved.delta == 0.2'; \
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_signature_queries_total 1$$'; \
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_precision_queries_total 1$$'; \
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_precision_met_total'; \
-	status=$$(curl -sS -o /tmp/motivo-smoke-bad.json -w '%{http_code}' -X POST http://127.0.0.1:18080/v1/graphs/er/count \
+	status=$$(curl -sS -o $$dir/bad.json -w '%{http_code}' -X POST http://127.0.0.1:18080/v1/graphs/er/count \
 		-d '{"epsilon":0.5,"targetMotif":"gffff"}'); \
 	test "$$status" = 400; \
-	jq -e '.code == "bad_request"' /tmp/motivo-smoke-bad.json; \
+	jq -e '.code == "bad_request"' $$dir/bad.json; \
 	curl -fsS -X POST http://127.0.0.1:18080/count -d '{"samples":3000,"seed":3}' \
 		| jq -e '.k == 4 and (has("graph") | not)'; \
-	curl -fsS http://127.0.0.1:18080/stats | jq -e '.k == 4 and .openMs > 0'
+	curl -fsS http://127.0.0.1:18080/stats | jq -e '.k == 4 and .openMs > 0'; \
+	$$dir/motivo build -i $$dir/er.txt -k 4 -seed 6 -o $$dir/er.tbl; \
+	curl -fsS -X POST http://127.0.0.1:18080/v1/graphs/er-cold/signatures \
+		-d '{"strategy":"ags","samples":4000,"seed":11,"topNodes":5}' -o $$dir/sig-rebuilt.json; \
+	jq 'del(.graph, .sampleTimeMs)' $$dir/sig.json > $$dir/sig-before.json; \
+	jq 'del(.graph, .sampleTimeMs)' $$dir/sig-rebuilt.json > $$dir/sig-after.json; \
+	cmp $$dir/sig-before.json $$dir/sig-after.json
 
 ci: fmt-check vet build test bench-module fuzz bench quickstart serve-smoke cover

@@ -403,7 +403,7 @@ func BenchmarkSmartSynthesis(b *testing.B) {
 		read func(vw table.View, v int)
 	}{
 		{"record", func(vw table.View, _ int) { vw.Each(sink) }},
-		{"shape", func(vw table.View, v int) { vw.ShapeEach(shapes[v%len(shapes)], sink) }},
+		{"shape", func(vw table.View, v int) { vw.ShapeEach(shapes[v%len(shapes)], treelet.MaxColorSet, sink) }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -49,6 +50,7 @@ import (
 	"time"
 
 	motivo "repro"
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/registry"
@@ -134,20 +136,14 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
+	err = atomicfile.Write(*out, func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, 1<<20)
+		if err := g.WriteBinary(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
 	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := g.WriteBinary(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	st, err := os.Stat(*out)
@@ -183,16 +179,13 @@ func cmdGen(args []string) error {
 	default:
 		return fmt.Errorf("unknown generator %q", *typ)
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	var err error
+	if *out == "" {
+		err = g.WriteEdgeList(os.Stdout)
+	} else {
+		err = atomicfile.Write(*out, g.WriteEdgeList)
 	}
-	if err := g.WriteEdgeList(w); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "generated %s graph: %d nodes, %d edges\n", *typ, g.NumNodes(), g.NumEdges())

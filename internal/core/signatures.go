@@ -68,12 +68,21 @@ type SignaturesResult struct {
 // cross-stream ordering is needed; streams are merged in index order with
 // commutative integer adds, keeping the result independent of scheduling.
 type sigAccumulator struct {
-	filter map[int32]struct{}
-	nodes  []map[int32]map[graphlet.Code]int64
+	filter  map[int32]struct{}
+	streams []sigStream
+}
+
+// sigStream is one stream's tally: its motifs numbered in order of first
+// sight, and one flat map from node<<32 | motif column to the number of
+// sampled occurrences of that motif touching that node.
+type sigStream struct {
+	cols   map[graphlet.Code]uint32
+	motifs []graphlet.Code
+	counts map[uint64]int64
 }
 
 func newSigAccumulator(nodes []int32, streams int) *sigAccumulator {
-	a := &sigAccumulator{nodes: make([]map[int32]map[graphlet.Code]int64, streams)}
+	a := &sigAccumulator{streams: make([]sigStream, streams)}
 	if len(nodes) > 0 {
 		a.filter = make(map[int32]struct{}, len(nodes))
 		for _, v := range nodes {
@@ -86,10 +95,16 @@ func newSigAccumulator(nodes []int32, streams int) *sigAccumulator {
 // observe folds one draw into the stream's accumulator. Safe for
 // concurrent calls with distinct stream indexes.
 func (a *sigAccumulator) observe(stream int, code graphlet.Code, nodes []int32) {
-	acc := a.nodes[stream]
-	if acc == nil {
-		acc = make(map[int32]map[graphlet.Code]int64)
-		a.nodes[stream] = acc
+	s := &a.streams[stream]
+	col, ok := s.cols[code]
+	if !ok {
+		if s.cols == nil {
+			s.cols = make(map[graphlet.Code]uint32)
+			s.counts = make(map[uint64]int64)
+		}
+		col = uint32(len(s.motifs))
+		s.cols[code] = col
+		s.motifs = append(s.motifs, code)
 	}
 	for _, v := range nodes {
 		if a.filter != nil {
@@ -97,64 +112,61 @@ func (a *sigAccumulator) observe(stream int, code graphlet.Code, nodes []int32) 
 				continue
 			}
 		}
-		row := acc[v]
-		if row == nil {
-			row = make(map[graphlet.Code]int64)
-			acc[v] = row
-		}
-		row[code]++
+		s.counts[uint64(v)<<32|uint64(col)]++
 	}
 }
 
 // assemble merges the streams and renders the sorted, vector-aligned
-// result. requested is the original node filter (nil = all touched nodes).
+// result, cutting every node's vector out of one arena. requested is the
+// original node filter (nil = all touched nodes).
 func (a *sigAccumulator) assemble(res *SignaturesResult, requested []int32) {
-	merged := make(map[int32]map[graphlet.Code]int64)
-	for _, acc := range a.nodes {
-		for v, row := range acc {
-			m := merged[v]
-			if m == nil {
-				m = make(map[graphlet.Code]int64, len(row))
-				merged[v] = m
-			}
-			for c, n := range row {
-				m[c] += n
-			}
-		}
-	}
-
 	res.Motifs = make([]graphlet.Code, 0, len(res.Tallies))
 	for c := range res.Tallies {
 		res.Motifs = append(res.Motifs, c)
 	}
 	sort.Slice(res.Motifs, func(i, j int) bool { return res.Motifs[i].Less(res.Motifs[j]) })
 
+	// row maps each reported node to its index in ascending node order.
+	row := make(map[int32]int)
 	var ids []int32
+	addNode := func(v int32) {
+		if _, seen := row[v]; !seen {
+			row[v] = 0
+			ids = append(ids, v)
+		}
+	}
 	if requested != nil {
-		seen := make(map[int32]struct{}, len(requested))
 		for _, v := range requested {
-			if _, dup := seen[v]; !dup {
-				seen[v] = struct{}{}
-				ids = append(ids, v)
-			}
+			addNode(v)
 		}
 	} else {
-		ids = make([]int32, 0, len(merged))
-		for v := range merged {
-			ids = append(ids, v)
+		for i := range a.streams {
+			for key := range a.streams[i].counts {
+				addNode(int32(key >> 32))
+			}
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	res.Nodes = make([]NodeSignature, 0, len(ids))
-	for _, v := range ids {
-		sig := NodeSignature{Node: v, Counts: make([]int64, len(res.Motifs))}
-		row := merged[v]
-		for i, c := range res.Motifs {
-			sig.Counts[i] = row[c]
-			sig.Total += row[c]
+	m := len(res.Motifs)
+	arena := make([]int64, len(ids)*m)
+	res.Nodes = make([]NodeSignature, len(ids))
+	for i, v := range ids {
+		row[v] = i
+		res.Nodes[i] = NodeSignature{Node: v, Counts: arena[i*m : (i+1)*m : (i+1)*m]}
+	}
+	var motifOf []int // stream column → index in res.Motifs
+	for i := range a.streams {
+		s := &a.streams[i]
+		motifOf = motifOf[:0]
+		for _, c := range s.motifs {
+			motifOf = append(motifOf, sort.Search(m, func(j int) bool { return !res.Motifs[j].Less(c) }))
 		}
-		res.Nodes = append(res.Nodes, sig)
+		for key, n := range s.counts {
+			sig := &res.Nodes[row[int32(key>>32)]]
+			sig.Counts[motifOf[uint32(key)]] += n
+			sig.Total += n
+		}
 	}
 }
 

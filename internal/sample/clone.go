@@ -23,7 +23,6 @@ func (u *Urn) Clone() *Urn {
 		roots:           u.roots,
 		rootAlias:       u.rootAlias,
 		total:           u.total,
-		buffers:         make(map[bufKey][]childChoice),
 		synthCache:      table.NewSynthCache(),
 		decode:          u.decode, // concurrency-safe, shared across clones
 		sweeps:          u.sweeps,

@@ -147,21 +147,28 @@ func TestSharedCanonTableConcurrentClones(t *testing.T) {
 
 // TestWarmDrawsDoNotAllocate: once an urn is warm, Urn.SampleBatch and
 // ShapeUrn.SampleBatch make no allocation per draw — at the default
-// buffering threshold, and with BufferThreshold = 1000 on a hub graph, as
-// Figure 5 runs it, where every hub visit refills a neighbor buffer.
+// buffering threshold; with BufferThreshold = 1000 on a hub graph, as
+// Figure 5 runs it, where every hub visit refills a neighbor buffer; and
+// with a sweep budget small enough to freeze, where every miss recomputes
+// its sweep into the clone's scratch entry.
 func TestWarmDrawsDoNotAllocate(t *testing.T) {
 	for _, arm := range []struct {
-		name      string
-		g         *graph.Graph
-		threshold int
+		name        string
+		g           *graph.Graph
+		threshold   int
+		sweepBudget int // 0: the default, which these draws never spend
 	}{
-		{"default", gen.BarabasiAlbert(100, 3, 31), 0},
-		{"hub-buffered", gen.StarHeavy(1, 1100, 100, 37), 1000},
+		{"default", gen.BarabasiAlbert(100, 3, 31), 0, 0},
+		{"hub-buffered", gen.StarHeavy(1, 1100, 100, 37), 1000, 0},
+		{"frozen-sweeps", gen.BarabasiAlbert(100, 3, 31), 0, 256},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			u := buildUrn(t, arm.g, 6, 41)
 			if arm.threshold > 0 {
 				u.BufferThreshold = arm.threshold
+			}
+			if arm.sweepBudget > 0 {
+				u.SetCacheBudgets(DefaultDecodePairBudget, arm.sweepBudget)
 			}
 			sus, err := u.NewShapeUrns(u.Cat.UnrootedK)
 			if err != nil {
@@ -188,6 +195,7 @@ func TestWarmDrawsDoNotAllocate(t *testing.T) {
 				urnDraws()
 				shapeDraws()
 			}
+			sweeps := u.Sweeps
 			for _, run := range []struct {
 				name string
 				fn   func()
@@ -199,8 +207,11 @@ func TestWarmDrawsDoNotAllocate(t *testing.T) {
 			if arm.threshold > 0 && u.BufferHits == 0 {
 				t.Fatal("no draw was served from a neighbor buffer — vacuous arm")
 			}
-			if u.sweeps.cands >= u.sweeps.budget {
-				t.Fatal("the sweep cache froze, so misses recompute; shrink the graph")
+			if frozen := u.sweeps.frozen.Load(); frozen != (arm.sweepBudget > 0) {
+				t.Fatalf("sweep cache frozen=%v with budget %d", frozen, u.sweeps.budget)
+			}
+			if arm.sweepBudget > 0 && u.Sweeps == sweeps {
+				t.Fatal("no sweep ran while measuring — vacuous arm")
 			}
 		})
 	}

@@ -147,8 +147,8 @@ func checkRecords(t *testing.T, g *graph.Graph, k int, cat *treelet.Catalog, tab
 				t.Fatalf("cache=%v h=%d v=%d ShapeTotal(%v) differs", cache != nil, h, v, shape)
 			}
 			var mw, sw []treelet.Colored
-			mat.ShapeEach(shape, func(key treelet.Colored, _ u128.Uint128) bool { mw = append(mw, key); return true })
-			sm.ShapeEach(shape, func(key treelet.Colored, _ u128.Uint128) bool { sw = append(sw, key); return true })
+			mat.ShapeEach(shape, all, func(key treelet.Colored, _ u128.Uint128) bool { mw = append(mw, key); return true })
+			sm.ShapeEach(shape, all, func(key treelet.Colored, _ u128.Uint128) bool { sw = append(sw, key); return true })
 			if !reflect.DeepEqual(mw, sw) {
 				t.Fatalf("cache=%v h=%d v=%d ShapeEach(%v) keys differ", cache != nil, h, v, shape)
 			}
@@ -220,12 +220,8 @@ func checkNestedSweep(t *testing.T, g *graph.Graph, cat *treelet.Catalog, tabMat
 						whole = append(whole, x)
 					}
 				}
-				view(hpp, w).ShapeEach(tpp, func(cpp treelet.Colored, cu u128.Uint128) bool {
-					cs := cpp.Colors()
-					if cs&C != cs {
-						return true
-					}
-					cp := treelet.MakeColored(tp, C&^cs)
+				view(hpp, w).ShapeEach(tpp, C, func(cpp treelet.Colored, cu u128.Uint128) bool {
+					cp := treelet.MakeColored(tp, C&^cpp.Colors())
 					cv := view(hp, v).Count(cp)
 					for _, x := range nbrs[:min(len(nbrs), 5)] {
 						if got, want := view(hp, x).Count(cp), tabMat.Rec(hp, x).Count(cp); got != want {
@@ -374,7 +370,7 @@ func TestSmartSynthesisAllocs(t *testing.T) {
 				sum = sum.Add(vw.Total())
 				if r.key != 0 {
 					sum = sum.Add(vw.Count(r.key))
-					vw.ShapeEach(r.key.Tree(), fn)
+					vw.ShapeEach(r.key.Tree(), treelet.MaxColorSet, fn)
 				}
 			}
 		}

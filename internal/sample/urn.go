@@ -33,7 +33,13 @@
 //   - a sweep cache memoizes chooseChild's candidate distribution per
 //     (node, colored treelet), so repeat visits pay one Float64 and one
 //     binary search instead of a full neighbor sweep; its entries store the
-//     first-child shape once and each candidate as (neighbor, color set);
+//     first-child shape once and each candidate as (neighbor, color set),
+//     under one packed uint64 key; once its budget is spent it is frozen
+//     and read without a lock, and a miss it will not keep is computed
+//     into the clone's scratch entry, so it allocates nothing;
+//   - a sweep visits only the neighbors whose color the first child can
+//     take (C” ⊆ C∖{col(v)}) and asks each for those colorings alone, so a
+//     synthesized record never computes an entry the sweep would drop;
 //   - the graphlet is named from the walk: the k−1 tree edges sampleCopy
 //     walks set their raw-code bits directly, only the other pairs are
 //     tested for adjacency, and the raw code is canonicalized through one
@@ -98,8 +104,9 @@ type Urn struct {
 	rootAlias *alias.Table
 	total     u128.Uint128
 
-	buffers    map[bufKey][]childChoice
-	synthCache *table.SynthCache // smart-star neighbor sums of recently read nodes
+	buffers    map[uint64][]childChoice // keyed like the sweep cache; made on first use
+	synthCache *table.SynthCache        // smart-star neighbor sums of recently read nodes
+	scratch    sweepEntry               // the sweep of a miss the sweep cache will not keep
 
 	// The amortization caches hold pure functions of the immutable table,
 	// so they are concurrency-safe and shared across clones: a root record
@@ -118,9 +125,12 @@ type Urn struct {
 	BufferHits int64 // child choices served from a buffer
 }
 
-type bufKey struct {
-	v  int32
-	tc treelet.Colored
+// sweepKey packs (v, tc) into the key of the sweep cache and the neighbor
+// buffers: node<<32 | tree>>12<<11 | colors. For k ≤ treelet.MaxK = 11 a
+// treelet code uses only its top 2(k−1) ≤ 20 bits and a color set its low
+// 11, so the packing is injective.
+func sweepKey(v int32, tc treelet.Colored) uint64 {
+	return uint64(v)<<32 | uint64(tc.Tree()>>12)<<11 | uint64(tc.Colors())
 }
 
 type childChoice struct {
@@ -182,30 +192,38 @@ func (t *canonTable) of(raw uint64) graphlet.Code {
 }
 
 // sweepCache memoizes sweep distributions under a total candidate budget;
-// like table.DecodedCache it is concurrency-safe, frozen once the budget
-// is spent, and shared across the clones of one urn. Concurrent misses may
-// compute the same sweep twice; the first published entry wins (entries
-// are identical, so callers cannot tell).
+// like table.DecodedCache it is concurrency-safe and shared across the
+// clones of one urn. Concurrent misses may compute the same sweep twice;
+// the first published entry wins (entries are identical, so callers cannot
+// tell). The insert that spends the budget sets frozen under the lock;
+// the map never changes after that, so readers that see frozen read it
+// without the lock.
 type sweepCache struct {
+	frozen atomic.Bool
 	mu     sync.RWMutex
-	m      map[bufKey]*sweepEntry
+	m      map[uint64]*sweepEntry
 	cands  int
 	budget int
 }
 
 func newSweepCache(budget int) *sweepCache {
-	return &sweepCache{m: make(map[bufKey]*sweepEntry), budget: budget}
+	c := &sweepCache{m: make(map[uint64]*sweepEntry), budget: budget}
+	c.frozen.Store(budget <= 0)
+	return c
 }
 
-// get returns the cached sweep of key, or nil (with ok=false reporting
+// get returns the cached sweep of key, or nil (with admits reporting
 // whether the cache still admits insertions).
-func (c *sweepCache) get(key bufKey) (sw *sweepEntry, admits bool) {
+func (c *sweepCache) get(key uint64) (sw *sweepEntry, admits bool) {
+	if c.frozen.Load() {
+		return c.m[key], false
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.m[key], c.cands < c.budget
 }
 
-func (c *sweepCache) put(key bufKey, sw *sweepEntry) *sweepEntry {
+func (c *sweepCache) put(key uint64, sw *sweepEntry) *sweepEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prior, ok := c.m[key]; ok {
@@ -216,6 +234,9 @@ func (c *sweepCache) put(key bufKey, sw *sweepEntry) *sweepEntry {
 	}
 	c.m[key] = sw
 	c.cands += len(sw.cands)
+	if c.cands >= c.budget {
+		c.frozen.Store(true)
+	}
 	return sw
 }
 
@@ -234,7 +255,6 @@ func NewUrn(g *graph.Graph, col *coloring.Coloring, tab *table.Table, cat *treel
 		G: g, Col: col, Tab: tab, Cat: cat, K: k,
 		BufferThreshold: 10000,
 		BufferSize:      100,
-		buffers:         make(map[bufKey][]childChoice),
 		synthCache:      table.NewSynthCache(),
 		decode:          table.NewDecodedCache(DefaultDecodePairBudget),
 		sweeps:          newSweepCache(DefaultSweepCandBudget),
@@ -450,17 +470,20 @@ func (u *Urn) canonical(raw uint64) graphlet.Code {
 // c(T”_C”, u) · c(T'_{C\C”}, v), which makes every copy of tc at v
 // equally likely (each copy has exactly β_T generating choices). At a node
 // of degree ≥ BufferThreshold one sweep draws BufferSize choices and keeps
-// the unused ones; a refill reuses the drained buffer's array.
+// the unused ones; a refill reuses the drained buffer's array. Until the
+// clone has buffered at a hub, no draw looks its buffers up.
 func (u *Urn) chooseChild(v int32, tc treelet.Colored, rng *rand.Rand) childChoice {
-	key := bufKey{v, tc}
-	buf := u.buffers[key]
-	if len(buf) > 0 {
-		ch := buf[len(buf)-1]
-		u.buffers[key] = buf[:len(buf)-1]
-		u.BufferHits++
-		return ch
+	key := sweepKey(v, tc)
+	var buf []childChoice
+	if len(u.buffers) > 0 {
+		if buf = u.buffers[key]; len(buf) > 0 {
+			ch := buf[len(buf)-1]
+			u.buffers[key] = buf[:len(buf)-1]
+			u.BufferHits++
+			return ch
+		}
 	}
-	sw := u.sweepFor(key)
+	sw := u.sweepFor(key, v, tc)
 	if len(sw.cands) == 0 {
 		panic(fmt.Sprintf("sample: no child choice for treelet %v at node %d (corrupt table?)", tc, v))
 	}
@@ -470,6 +493,9 @@ func (u *Urn) chooseChild(v int32, tc treelet.Colored, rng *rand.Rand) childChoi
 	picks := buf[:0]
 	if cap(picks) < u.BufferSize {
 		picks = make([]childChoice, 0, u.BufferSize)
+	}
+	if u.buffers == nil {
+		u.buffers = make(map[uint64][]childChoice)
 	}
 	for d := 0; d < u.BufferSize; d++ {
 		picks = append(picks, sw.pick(rng))
@@ -484,42 +510,48 @@ func (sw *sweepEntry) pick(rng *rand.Rand) childChoice {
 	return childChoice{c.u, treelet.MakeColored(sw.tpp, c.cs)}
 }
 
-// sweepFor returns the candidate distribution of (v, tc), memoized in the
-// shared sweep cache. Cached entries are bit-identical to a fresh sweep
-// (the float cumulatives are computed once and reused), so the cache
-// cannot perturb draw sequences.
-func (u *Urn) sweepFor(key bufKey) *sweepEntry {
+// sweepFor returns the candidate distribution of (v, tc) under key,
+// memoized in the shared sweep cache. Cached entries are bit-identical to
+// a fresh sweep (the float cumulatives are computed once and reused), so
+// the cache cannot perturb draw sequences. A miss the cache will not keep
+// is computed into the clone's scratch entry, valid until the next such
+// miss — chooseChild draws from it before it returns.
+func (u *Urn) sweepFor(key uint64, v int32, tc treelet.Colored) *sweepEntry {
 	sw, admits := u.sweeps.get(key)
 	if sw != nil {
 		return sw
 	}
-	sw = u.computeSweep(key.v, key.tc)
-	if admits {
-		sw = u.sweeps.put(key, sw)
+	if !admits {
+		u.computeSweep(&u.scratch, v, tc)
+		return &u.scratch
 	}
-	return sw
+	sw = new(sweepEntry)
+	u.computeSweep(sw, v, tc)
+	return u.sweeps.put(key, sw)
 }
 
-// computeSweep performs one neighbor sweep: the candidate (neighbor,
-// colored first-child) pairs of tc at v with cumulative weights
-// c(T”_C”, u) · c(T'_{C\C”}, v). It reads the lower-level records through
-// packed views: a sweep is computed once and then served from the sweep
-// cache, so decoding its inputs would only hold them in memory twice.
-func (u *Urn) computeSweep(v int32, tc treelet.Colored) *sweepEntry {
+// computeSweep performs one neighbor sweep into sw, reusing its arrays:
+// the candidate (neighbor, colored first-child) pairs of tc at v with
+// cumulative weights c(T”_C”, u) · c(T'_{C\C”}, v). The rest part T' keeps
+// v and so v's color, so only C” ⊆ C∖{col(v)} can weigh anything: the
+// sweep skips every neighbor whose color lies outside that set and asks
+// the others only for colorings inside it. It reads the lower-level
+// records through packed views: a sweep is computed once and then served
+// from the sweep cache, so decoding its inputs would only hold them in
+// memory twice.
+func (u *Urn) computeSweep(sw *sweepEntry, v int32, tc treelet.Colored) {
 	tree := tc.Tree()
 	tpp := u.Cat.FirstChild(tree)
 	tp := u.Cat.Rest(tree)
 	C := tc.Colors()
+	within := C &^ treelet.Singleton(u.Col.Colors[v])
 
 	u.Sweeps++
-	sw := &sweepEntry{tpp: tpp}
+	*sw = sweepEntry{tpp: tpp, cands: sw.cands[:0], cum: sw.cum[:0]}
 	rv := u.view(tp.Size(), v)
 	var w int32
 	each := func(cpp treelet.Colored, cu u128.Uint128) bool {
 		cs := cpp.Colors()
-		if cs&C != cs { // C'' must be a subset of C
-			return true
-		}
 		cv := rv.Count(treelet.MakeColored(tp, C&^cs))
 		if cv.IsZero() {
 			return true
@@ -529,10 +561,12 @@ func (u *Urn) computeSweep(v int32, tc treelet.Colored) *sweepEntry {
 		sw.cum = append(sw.cum, sw.total)
 		return true
 	}
+	colors, hpp := u.Col.Colors, tpp.Size()
 	for _, w = range u.G.Neighbors(v) {
-		u.view(tpp.Size(), w).ShapeEach(tpp, each)
+		if within.Has(colors[w]) {
+			u.view(hpp, w).ShapeEach(tpp, within, each)
+		}
 	}
-	return sw
 }
 
 // searchFloat returns the first index with cum[i] > r (clamped to the last

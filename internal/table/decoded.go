@@ -108,17 +108,6 @@ func (d *Decoded) ShapeTotal(t treelet.Treelet) u128.Uint128 {
 	return d.Cum[hi-1].Sub(d.cumBefore(lo))
 }
 
-// ShapeEach calls fn for every entry of shape t in ascending key order
-// until fn returns false.
-func (d *Decoded) ShapeEach(t treelet.Treelet, fn func(treelet.Colored, u128.Uint128) bool) {
-	lo, hi := d.ShapeRange(t)
-	for i := lo; i < hi; i++ {
-		if !fn(d.Keys[i], d.countAt(i)) {
-			return
-		}
-	}
-}
-
 // keyAtCumGE returns the key of the first entry whose cumulative count
 // reaches rv (assuming 1 ≤ rv ≤ Total).
 func (d *Decoded) keyAtCumGE(rv u128.Uint128) treelet.Colored {

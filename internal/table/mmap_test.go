@@ -197,3 +197,47 @@ func TestMappedLazyVerification(t *testing.T) {
 		t.Errorf("intact level unusable after sibling corruption: %d entries", got)
 	}
 }
+
+// TestSaveFileKeepsMappedTable: SaveFile replaces the file by rename, so a
+// table mapped from the old file keeps its bytes — it still verifies and
+// serves the same records — while a new open reads the new table. (Written
+// in place, the old mapping would show the new bytes, or fault past the
+// new end of a shorter file.)
+func TestSaveFileKeepsMappedTable(t *testing.T) {
+	old := testTable(t)
+	dir := t.TempDir()
+	path := dir + "/served.tbl"
+	if _, err := SaveFile(path, old, coloring.Uniform(old.N, old.K, 5)); err != nil {
+		t.Fatal(err)
+	}
+	mapped, _ := mappedOrSkip(t, path)
+
+	// A larger, different table for the same path.
+	next := testTable(t)
+	var p Pairs
+	p.FromMap(map[treelet.Colored]u128.Uint128{
+		treelet.MakeColored(treelet.FromParents([]int{0, 0, 1}), 0b111): u128.From64(11),
+		treelet.MakeColored(treelet.FromParents([]int{0, 0, 0}), 0b111): {Hi: 1, Lo: 4},
+	})
+	next.SetRec(3, 3, &p)
+	if _, err := SaveFile(path, next, coloring.Uniform(next.N, next.K, 6)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := mapped.Verify(); err != nil {
+		t.Fatalf("the old mapping no longer verifies after the file was replaced: %v", err)
+	}
+	equalTables(t, old, mapped)
+	loaded, _, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalTables(t, next, loaded)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d files after the save, want only the table", len(entries))
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/coloring"
 	"repro/internal/treelet"
 )
@@ -585,17 +586,15 @@ func ReadTable(r io.Reader) (*Table, error) {
 }
 
 // SaveFile writes the table (and optional coloring) to path in format
-// version 4, replacing any existing file. It returns the file size in
-// bytes.
+// version 4, replacing any existing file atomically: a process that has
+// the old file mapped keeps reading the old table. It returns the file
+// size in bytes.
 func SaveFile(path string, t *Table, col *coloring.Coloring) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := Save(f, t, col)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	var n int64
+	err := atomicfile.Write(path, func(w io.Writer) (err error) {
+		n, err = Save(w, t, col)
+		return err
+	})
 	return n, err
 }
 

@@ -31,6 +31,9 @@ package table
 // SampleShape) — computes only the sums its partitions use, each with one
 // sweep over v's neighbors on first use, and keeps them in the slot, so a
 // node read at several sizes or shapes in a row computes each sum once.
+// ShapeEach also takes the color set its entries must lie in and walks only
+// the colorings inside it, so a sampling sweep never synthesizes an entry
+// it would drop.
 // Partitions are walked over the array with subset loops and plain
 // recursion, no closures. Counts are u128 sums, and wrapping arithmetic is
 // a commutative ring, so the order in which terms are summed never changes
@@ -486,15 +489,15 @@ func (n *nodeSynth) count(sh *synthShape, cs treelet.ColorSet) u128.Uint128 {
 	return n.split(sh.groups, cs&^n.own)
 }
 
-// shapeEach enumerates the synthesized entries of one shape at the node in
-// ascending color-set order, calling fn for every nonzero count; fn
-// returns false to stop early. The return value reports whether the walk
-// ran to completion.
-func (n *nodeSynth) shapeEach(sh *synthShape, fn func(treelet.Colored, u128.Uint128) bool) bool {
+// shapeEach enumerates the synthesized entries of one shape at the node
+// whose child colors lie in avail (a subset of others: whole-record reads
+// pass others itself), in ascending color-set order, calling fn for every
+// nonzero count; fn returns false to stop early. The return value reports
+// whether the walk ran to completion.
+func (n *nodeSynth) shapeEach(sh *synthShape, avail treelet.ColorSet, fn func(treelet.Colored, u128.Uint128) bool) bool {
 	if len(sh.groups) == 0 {
 		return fn(treelet.MakeColored(sh.t, n.own), u128.One)
 	}
-	avail := n.others()
 	for rest := firstSubset(avail, sh.t.Size()-1); rest != 0; rest = nextSubset(avail, rest) {
 		cnt := n.split(sh.groups, rest)
 		if cnt.IsZero() {

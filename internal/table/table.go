@@ -406,7 +406,7 @@ func (vw View) Each(fn func(treelet.Colored, u128.Uint128) bool) {
 				pk, pc = c.Next()
 			}
 		}
-		if !ns.shapeEach(&syn[si], fn) {
+		if !ns.shapeEach(&syn[si], ns.others(), fn) {
 			return
 		}
 	}
@@ -481,15 +481,19 @@ func (vw View) ShapeTotal(t treelet.Treelet) u128.Uint128 {
 	return tot
 }
 
-// ShapeEach calls fn for every entry of shape t in ascending color-set
-// order — the iter(T, v) primitive — until fn returns false.
-func (vw View) ShapeEach(t treelet.Treelet, fn func(treelet.Colored, u128.Uint128) bool) {
+// ShapeEach calls fn for every entry of shape t whose color set lies in
+// within, in ascending color-set order — the iter(T, v) primitive bounded
+// to the colorings a caller can use — until fn returns false. A synthesized
+// shape enumerates only those colorings, so a tight bound skips the
+// synthesis of every entry it excludes; pass every color for the whole
+// shape.
+func (vw View) ShapeEach(t treelet.Treelet, within treelet.ColorSet, fn func(treelet.Colored, u128.Uint128) bool) {
 	sh, ok := vw.synthShape(t)
 	if ok {
-		if sh != nil {
+		if sh != nil && within.Has(vw.t.smart.colors[vw.v]) {
 			ns := vw.t.smart.node(vw.v, vw.cache, sh.widest())
 			defer ns.release()
-			ns.shapeEach(sh, fn)
+			ns.shapeEach(sh, within&ns.others(), fn)
 		}
 		return
 	}
@@ -497,6 +501,9 @@ func (vw View) ShapeEach(t treelet.Treelet, fn func(treelet.Colored, u128.Uint12
 	c := vw.rec.Cursor(lo)
 	for i := lo; i < hi; i++ {
 		k, cnt := c.Next()
+		if k.Colors()&^within != 0 {
+			continue
+		}
 		if !fn(k, cnt) {
 			return
 		}
@@ -553,7 +560,7 @@ func (vw View) SampleShape(rng u128.RandSource, t treelet.Treelet) treelet.Color
 	rv := u128.RandN(rng, span).Add64(1)
 	cum := u128.Zero
 	var key treelet.Colored
-	ns.shapeEach(sh, func(k treelet.Colored, cnt u128.Uint128) bool {
+	ns.shapeEach(sh, ns.others(), func(k treelet.Colored, cnt u128.Uint128) bool {
 		key = k
 		cum = cum.Add(cnt)
 		return cum.Cmp(rv) < 0
