@@ -41,11 +41,13 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # CI's fuzz smoke: short coverage-guided runs of the packed-codec
-# round-trip target and the serve request decoder. One -fuzz pattern per
-# package invocation is a `go test` restriction, hence two runs.
+# round-trip target, the serve request decoder and the streaming-vs-buffered
+# edge-list readers. One -fuzz target per `go test` invocation is a
+# `go test` restriction, hence three runs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=Fuzz -fuzztime=10s ./internal/table
 	$(GO) test -run='^$$' -fuzz=FuzzCountRequest -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/graph
 
 # Coverage with the recorded-baseline gate CI enforces: the total
 # statement percentage must not drop more than 2 points below

@@ -418,14 +418,7 @@ func runSignatures(g *motivo.Graph, opts motivo.Options, topNodes int, tablePath
 		phase, phaseTime.Round(1e6), res.SampleTime.Round(1e6), res.Samples,
 		len(res.Motifs), len(res.Nodes))
 	printCertificate(res.Achieved)
-	nodes := make([]motivo.NodeSignature, len(res.Nodes))
-	copy(nodes, res.Nodes)
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Total != nodes[j].Total {
-			return nodes[i].Total > nodes[j].Total
-		}
-		return nodes[i].Node < nodes[j].Node
-	})
+	nodes := core.RankedNodes(res.Nodes)
 	if topNodes < len(nodes) {
 		nodes = nodes[:topNodes]
 	}

@@ -21,10 +21,10 @@
 //
 // # Parallel execution
 //
-// With Options.Workers ≥ 2 the run is epoch-based: every worker owns a
-// clone of each shape urn (sample.ShapeUrn.CloneOnto over one sample.Urn
-// clone per worker, so all mutable sampling state is goroutine-local) and
-// draws a fixed-size batch of samples from the active shape. At the epoch
+// With Options.Workers ≥ 2 the run is epoch-based: every worker owns one
+// sample.Urn clone, so all mutable sampling state is goroutine-local, and
+// draws DefaultEpochSize samples of the active shape through it from the
+// shape set's immutable shape urns, which every worker shares. At the epoch
 // barrier the per-worker tallies are merged, the per-shape draw counters
 // n_j advance by the whole epoch, and cover detection plus the shape-switch
 // argmin run once on the merged state. Because the estimator only depends
@@ -55,10 +55,10 @@ import (
 	"repro/internal/treelet"
 )
 
-// DefaultEpochSize is the per-worker batch size between epoch barriers
-// when Options.EpochSize is 0. Small enough that cover detection stays
-// responsive at the paper's c̄ = 1000, large enough that the barrier cost
-// is amortized over thousands of draws.
+// DefaultEpochSize is the number of draws each (virtual) worker makes
+// between epoch barriers in parallel mode. Small enough that cover
+// detection stays responsive at the paper's c̄ = 1000, large enough that
+// the barrier cost is amortized over thousands of draws.
 const DefaultEpochSize = 256
 
 // DefaultPrecisionCap is the hard sample cap of a run-to-precision run when
@@ -133,10 +133,6 @@ type Options struct {
 	// per physical worker (the classic behavior, where changing Workers
 	// changes the draw sequence).
 	VirtualWorkers int
-	// EpochSize is the number of draws each (virtual) worker makes between
-	// epoch barriers in parallel mode; 0 means DefaultEpochSize. Ignored
-	// in sequential mode.
-	EpochSize int
 	// Observe, when non-nil, receives every draw: the stream (virtual
 	// worker) index, the canonical code, and the k sampled vertices. The
 	// nodes slice is scratch reused by the sampler — copy it to retain. In
@@ -182,6 +178,7 @@ type Result struct {
 // goroutine (between epochs, or inline in sequential mode).
 type engine struct {
 	shapes  []treelet.Treelet
+	urns    map[treelet.Treelet]*sample.ShapeUrn // shared and immutable
 	rj      map[treelet.Treelet]float64
 	sigma   *estimate.SigmaShapes
 	nj      map[treelet.Treelet]int64
@@ -305,11 +302,12 @@ func (e *engine) switchShape() {
 
 // ShapeSet is the prepared, immutable sample(T) machinery of one count
 // table: every unrooted k-treelet shape with colorful occurrences (in
-// deterministic sorted order), its master per-shape urn, the shape weights
-// r_j, the initial shape of Section 4, and a shared σ_ij cache. Building
-// one costs a pass over the size-k records per shape; a long-lived engine
-// prepares it once and hands it to every Run through Options.Shapes, where
-// the master urns are cloned in O(1) onto the query's own Urn clone.
+// deterministic sorted order), its per-shape urn, the shape weights r_j,
+// the initial shape of Section 4, and a shared σ_ij cache. Building one
+// costs one pass over the size-k records; a long-lived engine prepares it
+// once and hands it to every Run through Options.Shapes. Shape urns are
+// immutable, so every run and every worker draws from the same ones
+// through its own Urn clone.
 type ShapeSet struct {
 	shapes  []treelet.Treelet
 	urns    map[treelet.Treelet]*sample.ShapeUrn
@@ -320,7 +318,7 @@ type ShapeSet struct {
 
 // PrepareShapes builds the per-shape sampling state of the urn's table.
 // The returned set is read-only and safe to share across concurrent Run
-// calls (each run samples through clones, never the masters). All shape
+// calls (each run draws through its own Urn clone). All shape
 // urns are built in one bulk sample.NewShapeUrns pass — a single parallel
 // walk of the size-k records instead of one table pass per shape, the
 // dominant tail of engine OpenTime at k ≥ 6.
@@ -386,9 +384,6 @@ func Run(ctx context.Context, urn *sample.Urn, opts Options) (*Result, error) {
 	if opts.VirtualWorkers < 0 {
 		return nil, fmt.Errorf("ags: VirtualWorkers must be ≥ 0, got %d", opts.VirtualWorkers)
 	}
-	if opts.EpochSize < 0 {
-		return nil, fmt.Errorf("ags: EpochSize must be ≥ 0, got %d", opts.EpochSize)
-	}
 	if p := opts.Precision; p != nil {
 		if opts.Budget != 0 {
 			return nil, fmt.Errorf("ags: Budget and Precision are mutually exclusive")
@@ -413,14 +408,6 @@ func Run(ctx context.Context, urn *sample.Urn, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	// Materialize draws through the caller's urn: CloneOnto shares the
-	// immutable per-shape alias state and keeps all mutable sampling state
-	// (neighbor buffers, canonicalization cache) on this run's urn.
-	urns := make(map[treelet.Treelet]*sample.ShapeUrn, len(ss.urns))
-	for s, su := range ss.urns {
-		urns[s] = su.CloneOnto(urn)
-	}
-
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -433,6 +420,7 @@ func Run(ctx context.Context, urn *sample.Urn, opts Options) (*Result, error) {
 	}
 	e := &engine{
 		shapes:  ss.shapes,
+		urns:    ss.urns,
 		rj:      ss.rj,
 		sigma:   ss.sigma,
 		nj:      make(map[treelet.Treelet]int64, len(ss.shapes)),
@@ -459,9 +447,9 @@ func Run(ctx context.Context, urn *sample.Urn, opts Options) (*Result, error) {
 
 	var err error
 	if streams == 1 {
-		err = runSequential(ctx, e, urns, opts, budget)
+		err = runSequential(ctx, e, urn, opts, budget)
 	} else {
-		err = runParallel(ctx, e, urn, urns, opts, workers, streams, budget)
+		err = runParallel(ctx, e, urn, opts, workers, streams, budget)
 	}
 	if err != nil {
 		return nil, err
@@ -497,7 +485,7 @@ func Run(ctx context.Context, urn *sample.Urn, opts Options) (*Result, error) {
 // loop, so results are bit-identical at equal seed. In precision mode the
 // budget is the sample cap and the Theorem 3 stopping rule is evaluated
 // every precisionCheckEvery draws.
-func runSequential(ctx context.Context, e *engine, urns map[treelet.Treelet]*sample.ShapeUrn, opts Options, budget int) error {
+func runSequential(ctx context.Context, e *engine, urn *sample.Urn, opts Options, budget int) error {
 	for e.res.Samples < budget {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -506,7 +494,7 @@ func runSequential(ctx context.Context, e *engine, urns map[treelet.Treelet]*sam
 		if opts.Precision != nil && chunk > precisionCheckEvery {
 			chunk = precisionCheckEvery
 		}
-		if err := drawSequential(ctx, e, urns, opts, chunk); err != nil {
+		if err := drawSequential(ctx, e, urn, opts, chunk); err != nil {
 			return err
 		}
 		if opts.Precision != nil && e.achievedEps(opts.Precision) <= opts.Precision.Eps {
@@ -518,14 +506,14 @@ func runSequential(ctx context.Context, e *engine, urns map[treelet.Treelet]*sam
 
 // drawSequential draws exactly n more samples (modulo cancellation) with
 // per-draw cover detection.
-func drawSequential(ctx context.Context, e *engine, urns map[treelet.Treelet]*sample.ShapeUrn, opts Options, n int) error {
+func drawSequential(ctx context.Context, e *engine, urn *sample.Urn, opts Options, n int) error {
 	step := 0
 	for step < n {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		cur := e.cur
-		urns[cur].SampleBatch(opts.Rng, n-step, func(code graphlet.Code, nodes []int32) bool {
+		e.urns[cur].SampleBatch(urn, opts.Rng, n-step, func(code graphlet.Code, nodes []int32) bool {
 			// The weight update precedes the draw in the pseudocode (lines
 			// 7–9); folding it in here is equivalent since drawing never
 			// reads n_j.
@@ -580,25 +568,16 @@ func refreshStale(e *engine, stale map[graphlet.Code]bool) {
 // out of a batch early); a canceled run returns ctx.Err() and its partial
 // state is discarded by the caller. In precision mode the budget is the
 // sample cap and the Theorem 3 stopping rule runs at each barrier.
-func runParallel(ctx context.Context, e *engine, urn *sample.Urn, master map[treelet.Treelet]*sample.ShapeUrn, opts Options, workers, streams, budget int) error {
-	batch := opts.EpochSize
-	if batch == 0 {
-		batch = DefaultEpochSize
-	}
+func runParallel(ctx context.Context, e *engine, urn *sample.Urn, opts Options, workers, streams, budget int) error {
 	type workerState struct {
-		urns map[treelet.Treelet]*sample.ShapeUrn
-		rng  *rand.Rand
+		urn *sample.Urn
+		rng *rand.Rand
 	}
 	ws := make([]*workerState, streams)
 	for w := range ws {
-		clone := urn.Clone()
-		urns := make(map[treelet.Treelet]*sample.ShapeUrn, len(master))
-		for s, su := range master {
-			urns[s] = su.CloneOnto(clone)
-		}
 		// Seeding draws happen in stream order so the run is reproducible
 		// for a fixed (seed, streams) pair.
-		ws[w] = &workerState{urns: urns, rng: rand.New(rand.NewSource(opts.Rng.Int63()))}
+		ws[w] = &workerState{urn: urn.Clone(), rng: rand.New(rand.NewSource(opts.Rng.Int63()))}
 	}
 	if workers > streams {
 		workers = streams
@@ -607,11 +586,12 @@ func runParallel(ctx context.Context, e *engine, urn *sample.Urn, master map[tre
 	locals := make([]map[graphlet.Code]int64, streams)
 	sem := make(chan struct{}, workers)
 	for remaining := budget; remaining > 0; {
-		epoch := streams * batch
+		epoch := streams * DefaultEpochSize
 		if epoch > remaining {
 			epoch = remaining
 		}
 		base, extra := epoch/streams, epoch%streams
+		su := e.urns[e.cur]
 		var wg sync.WaitGroup
 		for w := range ws {
 			n := base
@@ -627,10 +607,9 @@ func runParallel(ctx context.Context, e *engine, urn *sample.Urn, master map[tre
 				defer wg.Done()
 				sem <- struct{}{} // at most `workers` streams sample at once
 				defer func() { <-sem }()
-				su := st.urns[e.cur]
 				local := make(map[graphlet.Code]int64)
 				i, canceled := 0, false
-				su.SampleBatch(st.rng, n, func(code graphlet.Code, nodes []int32) bool {
+				su.SampleBatch(st.urn, st.rng, n, func(code graphlet.Code, nodes []int32) bool {
 					local[code]++
 					if opts.Observe != nil {
 						opts.Observe(w, code, nodes)

@@ -17,9 +17,6 @@ func TestParallelOptionsValidation(t *testing.T) {
 	if _, err := Run(context.Background(), u, Options{Budget: 10, CoverThreshold: 1, Rng: rng, Workers: -1}); err == nil {
 		t.Error("negative Workers must fail")
 	}
-	if _, err := Run(context.Background(), u, Options{Budget: 10, CoverThreshold: 1, Rng: rng, EpochSize: -5}); err == nil {
-		t.Error("negative EpochSize must fail")
-	}
 }
 
 // TestParallelAGSRace drives ≥ 4 workers over the shared read-only table;
@@ -29,7 +26,7 @@ func TestParallelAGSRace(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, 101)
 	u := buildUrn(t, g, 4, 103)
 	res, err := Run(context.Background(), u, Options{
-		CoverThreshold: 100, Budget: 8000, Workers: 4, EpochSize: 128,
+		CoverThreshold: 100, Budget: 8000, Workers: 4,
 		Rng: rand.New(rand.NewSource(107)),
 	})
 	if err != nil {
@@ -41,8 +38,8 @@ func TestParallelAGSRace(t *testing.T) {
 	if res.Workers != 4 {
 		t.Errorf("workers = %d, want 4", res.Workers)
 	}
-	// 8000 draws at 4×128 per epoch: ⌈8000/512⌉ barriers.
-	if want := 16; res.Epochs != want {
+	// 8000 draws at 4×DefaultEpochSize per epoch: ⌈8000/1024⌉ barriers.
+	if want := 8; res.Epochs != want {
 		t.Errorf("epochs = %d, want %d", res.Epochs, want)
 	}
 	var total int64
@@ -67,7 +64,7 @@ func TestParallelAGSDeterminism(t *testing.T) {
 	run := func() *Result {
 		u := buildUrn(t, g, 4, 113)
 		res, err := Run(context.Background(), u, Options{
-			CoverThreshold: 150, Budget: 10000, Workers: 4, EpochSize: 128,
+			CoverThreshold: 150, Budget: 10000, Workers: 4,
 			Rng: rand.New(rand.NewSource(127)),
 		})
 		if err != nil {

@@ -32,6 +32,20 @@ type NodeSignature struct {
 	Counts []int64
 }
 
+// RankedNodes returns a copy of nodes ordered by Total, largest first,
+// ties by ascending node id: the order every listing of signatures is in.
+func RankedNodes(nodes []NodeSignature) []NodeSignature {
+	out := make([]NodeSignature, len(nodes))
+	copy(out, nodes)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Total != out[j].Total {
+			return out[i].Total > out[j].Total
+		}
+		return out[i].Node < out[j].Node
+	})
+	return out
+}
+
 // SignaturesResult is the outcome of one per-node signatures query.
 //
 // Summing Counts over all nodes (a nil node filter) recovers exactly

@@ -133,6 +133,23 @@ func Frequencies(c Counts) Counts {
 	return out
 }
 
+// Ranked returns the codes of c ordered by estimate, largest first, ties
+// by ascending code: the order every listing of estimates is in.
+func Ranked(c Counts) []graphlet.Code {
+	codes := make([]graphlet.Code, 0, len(c))
+	for code := range c {
+		codes = append(codes, code)
+	}
+	sort.Slice(codes, func(i, j int) bool {
+		a, b := codes[i], codes[j]
+		if c[a] != c[b] {
+			return c[a] > c[b]
+		}
+		return a.Less(b)
+	})
+	return codes
+}
+
 // L1 returns the ℓ1 distance between the frequency vectors of est and
 // truth: Σ_i |f̂_i − f_i| over the union of supports.
 func L1(est, truth Counts) float64 {

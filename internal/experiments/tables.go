@@ -240,7 +240,7 @@ func LollipopLowerBound(w io.Writer) error {
 	const S = 50000
 	hits := 0
 	for i := 0; i < S; i++ {
-		code, _ := su.Sample(rng)
+		code, _ := su.Sample(urn, rng)
 		if isPathCode(k, code) {
 			hits++
 		}

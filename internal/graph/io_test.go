@@ -26,12 +26,9 @@ func graphBytes(t *testing.T, g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamingMatchesBuffered is the golden equivalence test for the
-// two-pass streaming edge-list reader: on every input — sparse ids,
-// duplicates in both directions, self-loops, comments, blank lines — it
-// must produce a CSR byte-identical to the legacy buffered reader's
-// (same first-appearance id compaction, same sort/dedup normalization).
-func TestStreamingMatchesBuffered(t *testing.T) {
+// edgeLists are the inputs both edge-list readers must agree on: sparse
+// ids, duplicates in both directions, self-loops, comments, blank lines.
+func edgeLists() map[string]string {
 	rng := rand.New(rand.NewSource(42))
 	var big strings.Builder
 	big.WriteString("# random multigraph with sparse ids\n")
@@ -43,7 +40,7 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 		big.WriteString(strconv.Itoa(v))
 		big.WriteByte('\n')
 	}
-	inputs := map[string]string{
+	return map[string]string{
 		"empty":      "",
 		"comments":   "# a\n% b\n\n",
 		"loops-only": "5 5\n9 9\n",
@@ -55,7 +52,17 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 		"negative-ids":    "-1 0\n0 -5\n-5 -1\n",
 		"random":          big.String(),
 	}
-	for name, in := range inputs {
+}
+
+// malformedEdgeLists are inputs both edge-list readers must reject.
+var malformedEdgeLists = []string{"1\n", "a b\n", "1 2.5\n", "0 1\nx\n"}
+
+// TestStreamingMatchesBuffered is the golden equivalence test for the
+// two-pass streaming edge-list reader: on every input of edgeLists it must
+// produce a CSR byte-identical to the legacy buffered reader's (same
+// first-appearance id compaction, same sort/dedup normalization).
+func TestStreamingMatchesBuffered(t *testing.T) {
+	for name, in := range edgeLists() {
 		t.Run(name, func(t *testing.T) {
 			// strings.Reader is an io.ReadSeeker → streaming two-pass path.
 			gs, err := ReadEdgeList(strings.NewReader(in))
@@ -71,6 +78,28 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadEdgeList feeds the same bytes to the two-pass streaming reader
+// (a bytes.Reader seeks) and to the buffered reader (noSeek hides Seek):
+// either both fail, or both give byte-identical WriteBinary images.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, in := range edgeLists() {
+		f.Add([]byte(in))
+	}
+	for _, in := range malformedEdgeLists {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		gs, errS := ReadEdgeList(bytes.NewReader(in))
+		gb, errB := ReadEdgeList(noSeek{bytes.NewReader(in)})
+		if (errS == nil) != (errB == nil) {
+			t.Fatalf("streaming err %v, buffered err %v", errS, errB)
+		}
+		if errS == nil && !bytes.Equal(graphBytes(t, gs), graphBytes(t, gb)) {
+			t.Fatal("streaming reader CSR differs from buffered reader CSR")
+		}
+	})
 }
 
 // TestStreamingReaderAtOffset: the two-pass reader must rewind to where
@@ -93,7 +122,7 @@ func TestStreamingReaderAtOffset(t *testing.T) {
 // TestStreamingErrorsMatchBuffered: both paths must reject the same
 // malformed lines with line-numbered messages.
 func TestStreamingErrorsMatchBuffered(t *testing.T) {
-	for _, in := range []string{"1\n", "a b\n", "1 2.5\n", "0 1\nx\n"} {
+	for _, in := range malformedEdgeLists {
 		_, errS := ReadEdgeList(strings.NewReader(in))
 		_, errB := ReadEdgeList(noSeek{strings.NewReader(in)})
 		if errS == nil || errB == nil {

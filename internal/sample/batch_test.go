@@ -31,22 +31,21 @@ var cacheArms = []struct {
 }
 
 // checkRootResidency pins the residency rule: after draws, the decoded-
-// record cache holds size-k root records and nothing else.
+// record memo holds size-k root records keyed by node, each equal to a
+// fresh decode, and nothing else.
 func checkRootResidency(t *testing.T, u *Urn) {
 	t.Helper()
 	pairs := 0
-	for v := int32(0); int(v) < u.G.NumNodes(); v++ {
-		for h := 1; h < u.K; h++ {
-			if d, _ := u.decode.Lookup(h, v); d != nil {
-				t.Fatalf("decoded size-%d record of node %d is resident; only size-%d roots may be", h, v, u.K)
-			}
+	for v, d := range u.decode.m {
+		var want table.Decoded
+		u.Tab.Rec(u.K, int32(v)).Decode(&want)
+		if !reflect.DeepEqual(d.Keys, want.Keys) || !reflect.DeepEqual(d.Cum, want.Cum) {
+			t.Fatalf("resident record of node %d is not its decoded size-%d record", v, u.K)
 		}
-		if d, _ := u.decode.Lookup(u.K, v); d != nil {
-			pairs += d.Len()
-		}
+		pairs += d.Len()
 	}
-	if pairs == 0 || pairs != u.decode.Pairs() {
-		t.Fatalf("root records hold %d of the cache's %d decoded pairs", pairs, u.decode.Pairs())
+	if pairs == 0 || pairs != u.decode.spent {
+		t.Fatalf("root records hold %d of the memo's %d decoded pairs", pairs, u.decode.spent)
 	}
 }
 
@@ -147,7 +146,7 @@ func TestShapeSampleBatchBitIdentical(t *testing.T) {
 				}
 				return urn, out
 			}
-			_, refs := mkShape(DefaultDecodePairBudget, DefaultSweepCandBudget)
+			refUrn, refs := mkShape(DefaultDecodePairBudget, DefaultSweepCandBudget)
 			if len(refs) == 0 {
 				t.Fatal("no shape had occurrences — vacuous run")
 			}
@@ -155,7 +154,7 @@ func TestShapeSampleBatchBitIdentical(t *testing.T) {
 			for name, su := range refs {
 				rng := rand.New(rand.NewSource(seed))
 				for i := 0; i < total; i++ {
-					want[name] = append(want[name], record(su.Sample(rng)))
+					want[name] = append(want[name], record(su.Sample(refUrn, rng)))
 				}
 			}
 			for _, arm := range cacheArms {
@@ -167,7 +166,7 @@ func TestShapeSampleBatchBitIdentical(t *testing.T) {
 							var got []draw
 							for len(got) < total {
 								n := min(batch, total-len(got))
-								su.SampleBatch(rng, n, func(code graphlet.Code, nodes []int32) bool {
+								su.SampleBatch(urn, rng, n, func(code graphlet.Code, nodes []int32) bool {
 									got = append(got, record(code, nodes))
 									return true
 								})
@@ -236,8 +235,8 @@ func TestParallelConstructionBitIdentical(t *testing.T) {
 		}
 		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		for d := 0; d < 100; d++ {
-			ca, na := sa.Sample(rngA)
-			cb, nb := sb.Sample(rngB)
+			ca, na := sa.Sample(seqUrn, rngA)
+			cb, nb := sb.Sample(parUrn, rngB)
 			if ca != cb || !reflect.DeepEqual(na, nb) {
 				t.Fatalf("shape %v draw %d differs", sa.Shape, d)
 			}

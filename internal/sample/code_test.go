@@ -58,7 +58,7 @@ func TestWalkCodeMatchesInduced(t *testing.T) {
 				}
 				for _, su := range sus {
 					if !su.Empty() {
-						su.SampleBatch(rng, 20, check)
+						su.SampleBatch(urn, rng, 20, check)
 					}
 				}
 				if dense := k <= denseCanonK; (urn.canon != nil) != dense || (len(urn.canonMemo) > 0) == dense {
@@ -188,7 +188,7 @@ func TestWarmDrawsDoNotAllocate(t *testing.T) {
 			urnDraws := func() { u.SampleBatch(rng, 64, sink) }
 			shapeDraws := func() {
 				for _, su := range shapes {
-					su.SampleBatch(rng, 8, sink)
+					su.SampleBatch(u, rng, 8, sink)
 				}
 			}
 			for range 1000 {

@@ -160,21 +160,20 @@ func TestShapeUrnRestrictsShape(t *testing.T) {
 	g := gen.ErdosRenyi(30, 90, 17)
 	k := 4
 	u := buildUrn(t, g, k, 19)
-	totals := u.Tab.ShapeTotals(u.Cat)
 	sigShapes := estimate.NewSigmaShapes(k, u.Cat)
 	rng := rand.New(rand.NewSource(23))
 	var sumShapes float64
 	for _, shape := range u.Cat.UnrootedK {
-		if totals[shape].IsZero() {
-			continue
-		}
 		su, err := u.NewShapeUrn(shape)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if su.Empty() {
+			continue
+		}
 		sumShapes += su.Total().Float64()
 		for i := 0; i < 300; i++ {
-			code, nodes := su.Sample(rng)
+			code, nodes := su.Sample(u, rng)
 			if len(nodes) != k {
 				t.Fatal("wrong node count")
 			}

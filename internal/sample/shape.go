@@ -17,18 +17,16 @@ import (
 // requires a pass over the size-k records to weight root nodes by their
 // occurrences of T (the paper notes the alias sampler must be rebuilt from
 // scratch whenever AGS switches shape — this constructor is that rebuild).
+// A ShapeUrn is immutable: it draws through the Urn it is handed, which
+// must be the urn it was built from or a clone of it, so one shape urn
+// serves any number of goroutines, each drawing through its own clone.
 type ShapeUrn struct {
 	Shape treelet.Treelet
 
-	urn       *Urn
 	rootings  []treelet.Treelet
 	roots     []int32
 	rootAlias *alias.Table
-	total     u128.Uint128
-
-	// Rooted-form choice scratch, reused across the draws of a batch.
-	cumBuf  []float64
-	treeBuf []treelet.Treelet
+	total     u128.Uint128 // r_T, distinct copies
 }
 
 // NewShapeUrn restricts the urn to the unrooted shape T.
@@ -57,7 +55,7 @@ func (u *Urn) NewShapeUrns(shapes []treelet.Treelet) ([]*ShapeUrn, error) {
 		if len(rootings) == 0 {
 			return nil, fmt.Errorf("sample: %v is not an unrooted k-treelet shape of the catalog", shape)
 		}
-		sus[i] = &ShapeUrn{Shape: shape, urn: u, rootings: rootings}
+		sus[i] = &ShapeUrn{Shape: shape, rootings: rootings}
 		for _, t := range rootings {
 			rootedTo[t] = i
 		}
@@ -115,53 +113,48 @@ func (u *Urn) NewShapeUrns(shapes []treelet.Treelet) ([]*ShapeUrn, error) {
 
 	for i, s := range sus {
 		var weights []float64
+		var total u128.Uint128
 		for w := range accs {
 			s.roots = append(s.roots, accs[w].roots[i]...)
 			weights = append(weights, accs[w].weights[i]...)
-			s.total = s.total.Add(accs[w].totals[i])
+			total = total.Add(accs[w].totals[i])
 		}
+		s.total = u.distinct(total)
 		s.rootAlias = alias.New(weights)
 	}
 	return sus, nil
 }
 
-// Total returns r_T: the number of colorful copies of the shape in the urn
-// (distinct copies; corrected for the k-fold rooting when 0-rooting is
-// off).
-func (s *ShapeUrn) Total() u128.Uint128 {
-	if s.urn.Tab.ZeroRooted {
-		return s.total
-	}
-	q, _ := s.total.QuoRem64(uint64(s.urn.K))
-	return q
-}
+// Total returns r_T: the number of distinct colorful copies of the shape
+// in the urn.
+func (s *ShapeUrn) Total() u128.Uint128 { return s.total }
 
 // Empty reports whether the shape has no colorful occurrence.
 func (s *ShapeUrn) Empty() bool { return s.rootAlias == nil }
 
-// Sample draws one uniform colorful copy of the shape and returns the
-// canonical induced graphlet and the nodes. The node slice is reused
-// across calls; copy it to retain.
-func (s *ShapeUrn) Sample(rng *rand.Rand) (graphlet.Code, []int32) {
+// Sample draws one uniform colorful copy of the shape through u and
+// returns the canonical induced graphlet and the nodes. The node slice is
+// u's scratch, reused across calls; copy it to retain.
+func (s *ShapeUrn) Sample(u *Urn, rng *rand.Rand) (graphlet.Code, []int32) {
 	if s.Empty() {
 		panic("sample: shape urn is empty")
 	}
-	return s.sampleOne(rng)
+	return s.sampleOne(u, rng)
 }
 
-// SampleBatch draws up to n uniform copies of the shape, calling fn after
-// every draw with the canonical induced code and the sampled nodes (the
-// node slice is reused across draws; copy it to retain). It stops early
-// when fn returns false and returns the number of draws made — AGS uses
-// the early exit to cut a batch short the moment it switches shape, so no
-// draw ever comes from a stale urn. Draw sequences are bit-identical to
-// repeated Sample calls at equal RNG state; see Urn.SampleBatch.
-func (s *ShapeUrn) SampleBatch(rng *rand.Rand, n int, fn func(graphlet.Code, []int32) bool) int {
+// SampleBatch draws up to n uniform copies of the shape through u, calling
+// fn after every draw with the canonical induced code and the sampled nodes
+// (the node slice is reused across draws; copy it to retain). It stops
+// early when fn returns false and returns the number of draws made — AGS
+// uses the early exit to cut a batch short the moment it switches shape,
+// so no draw ever comes from a stale urn. Draw sequences are bit-identical
+// to repeated Sample calls at equal RNG state; see Urn.SampleBatch.
+func (s *ShapeUrn) SampleBatch(u *Urn, rng *rand.Rand, n int, fn func(graphlet.Code, []int32) bool) int {
 	if s.Empty() {
 		panic("sample: shape urn is empty")
 	}
 	for i := 0; i < n; i++ {
-		code, nodes := s.sampleOne(rng)
+		code, nodes := s.sampleOne(u, rng)
 		if !fn(code, nodes) {
 			return i + 1
 		}
@@ -171,33 +164,34 @@ func (s *ShapeUrn) SampleBatch(rng *rand.Rand, n int, fn func(graphlet.Code, []i
 
 // sampleOne is one sample(T) draw: root by the per-shape alias, rooted
 // form of the shape proportionally to its count at the root, colored
-// treelet within that rooted form, recursive materialization.
-func (s *ShapeUrn) sampleOne(rng *rand.Rand) (graphlet.Code, []int32) {
-	u := s.urn
+// treelet within that rooted form, recursive materialization through u.
+// A k-shape has at most k rooted forms, so the rooted-form choice lives in
+// fixed arrays on the stack.
+func (s *ShapeUrn) sampleOne(u *Urn, rng *rand.Rand) (graphlet.Code, []int32) {
 	v := s.roots[s.rootAlias.Next(rng)]
 	d := u.rootRec(v)
 	var rec table.View
 	if d == nil {
 		rec = u.view(u.K, v)
 	}
-	shapeTotal := func(t treelet.Treelet) u128.Uint128 {
-		if d != nil {
-			return d.ShapeTotal(t)
-		}
-		return rec.ShapeTotal(t)
-	}
-	s.cumBuf, s.treeBuf = s.cumBuf[:0], s.treeBuf[:0]
-	total := 0.0
+	var cum [treelet.MaxK]float64
+	var trees [treelet.MaxK]treelet.Treelet
+	n, total := 0, 0.0
 	for _, t := range s.rootings {
-		w := shapeTotal(t)
+		var w u128.Uint128
+		if d != nil {
+			w = d.ShapeTotal(t)
+		} else {
+			w = rec.ShapeTotal(t)
+		}
 		if w.IsZero() {
 			continue
 		}
 		total += w.Float64()
-		s.cumBuf = append(s.cumBuf, total)
-		s.treeBuf = append(s.treeBuf, t)
+		cum[n], trees[n] = total, t
+		n++
 	}
-	t := s.treeBuf[searchFloat(s.cumBuf, rng.Float64()*total)]
+	t := trees[searchFloat(cum[:n], rng.Float64()*total)]
 	var tc treelet.Colored
 	if d != nil {
 		tc = d.SampleShape(rng, t)

@@ -307,8 +307,8 @@ func TestSmartShapeUrnDrawSequenceIdentical(t *testing.T) {
 		rngA := rand.New(rand.NewSource(7))
 		rngB := rand.New(rand.NewSource(7))
 		for i := 0; i < 500; i++ {
-			codeA, nodesA := suMat.Sample(rngA)
-			codeB, nodesB := suSmart.Sample(rngB)
+			codeA, nodesA := suMat.Sample(urnMat, rngA)
+			codeB, nodesB := suSmart.Sample(urnSmart, rngB)
 			if codeA != codeB || !reflect.DeepEqual(nodesA, nodesB) {
 				t.Fatalf("shape %v draw %d differs", shape, i)
 			}

@@ -10,7 +10,9 @@
 //     within the root's record, then a recursive descent that splits the
 //     treelet by its canonical decomposition at every level.
 //   - ShapeUrn restricts draws to one unrooted k-treelet shape T — the
-//     sample(T) primitive AGS is built on (Section 4).
+//     sample(T) primitive AGS is built on (Section 4). It is immutable and
+//     draws through the Urn clone it is handed, so one shape urn serves
+//     every goroutine.
 //
 // Neighbor buffering (Section 3.2) is implemented exactly as described:
 // when the child node must be chosen among the neighbors of a node with
@@ -25,17 +27,16 @@
 // naming dominate the naive implementation. Every urn therefore amortizes
 // four ways, and SampleBatch exposes the draw loop the estimators consume:
 //
-//   - a decoded-record cache (table.DecodedCache) holds the size-k root
-//     records — synthesis included — as sorted key + cumulative-count
-//     arrays, so the one record read of every draw is a binary search
-//     instead of a varint walk; lower-level records are read only by
+//   - a decoded-record cache holds the size-k root records, keyed by node —
+//     synthesis included — as sorted key + cumulative-count arrays
+//     (table.Decoded), so the one record read of every draw is a binary
+//     search instead of a varint walk; lower-level records are read only by
 //     sweeps, which the sweep cache computes once, so they stay packed;
 //   - a sweep cache memoizes chooseChild's candidate distribution per
 //     (node, colored treelet), so repeat visits pay one Float64 and one
 //     binary search instead of a full neighbor sweep; its entries store the
 //     first-child shape once and each candidate as (neighbor, color set),
-//     under one packed uint64 key; once its budget is spent it is frozen
-//     and read without a lock, and a miss it will not keep is computed
+//     under one packed uint64 key; a miss it will not keep is computed
 //     into the clone's scratch entry, so it allocates nothing;
 //   - a sweep visits only the neighbors whose color the first child can
 //     take (C” ⊆ C∖{col(v)}) and asks each for those colorings alone, so a
@@ -45,8 +46,12 @@
 //     tested for adjacency, and the raw code is canonicalized through one
 //     table shared by every clone (a dense, lazily filled array over all
 //     raw codes for k ≤ 6; a per-clone map for larger k);
-//   - scratch buffers (sampled nodes, rooted-form cumulatives, neighbor
-//     buffers) are reused across draws instead of allocated per draw.
+//   - scratch buffers (sampled nodes, neighbor buffers) are reused across
+//     draws instead of allocated per draw.
+//
+// Both caches are one type (memo, in clone.go): shared by every clone,
+// budgeted, and read without a lock once the put that spends the budget
+// has frozen them.
 //
 // All of these are invisible to results: cached values are bit-identical
 // to what recomputation would produce and RNG consumption per draw is
@@ -102,7 +107,7 @@ type Urn struct {
 
 	roots     []int32
 	rootAlias *alias.Table
-	total     u128.Uint128
+	total     u128.Uint128 // distinct copies
 
 	buffers    map[uint64][]childChoice // keyed like the sweep cache; made on first use
 	synthCache *table.SynthCache        // smart-star neighbor sums of recently read nodes
@@ -112,9 +117,9 @@ type Urn struct {
 	// so they are concurrency-safe and shared across clones: a root record
 	// is decoded, a sweep computed and a raw code canonicalized once per
 	// urn lifetime, not once per clone or per query.
-	decode *table.DecodedCache
-	sweeps *sweepCache
-	canon  *canonTable // nil for k > denseCanonK; canonMemo serves those
+	decode *memo[table.Decoded] // size-k root records, keyed by node
+	sweeps *memo[sweepEntry]    // keyed by sweepKey
+	canon  *canonTable          // nil for k > denseCanonK; canonMemo serves those
 
 	canonMemo map[uint64]uint64 // per-clone raw → canonical code, k > denseCanonK
 	nodesBuf  []int32           // sampled-copy scratch, reused across draws
@@ -191,55 +196,6 @@ func (t *canonTable) of(raw uint64) graphlet.Code {
 	return canon
 }
 
-// sweepCache memoizes sweep distributions under a total candidate budget;
-// like table.DecodedCache it is concurrency-safe and shared across the
-// clones of one urn. Concurrent misses may compute the same sweep twice;
-// the first published entry wins (entries are identical, so callers cannot
-// tell). The insert that spends the budget sets frozen under the lock;
-// the map never changes after that, so readers that see frozen read it
-// without the lock.
-type sweepCache struct {
-	frozen atomic.Bool
-	mu     sync.RWMutex
-	m      map[uint64]*sweepEntry
-	cands  int
-	budget int
-}
-
-func newSweepCache(budget int) *sweepCache {
-	c := &sweepCache{m: make(map[uint64]*sweepEntry), budget: budget}
-	c.frozen.Store(budget <= 0)
-	return c
-}
-
-// get returns the cached sweep of key, or nil (with admits reporting
-// whether the cache still admits insertions).
-func (c *sweepCache) get(key uint64) (sw *sweepEntry, admits bool) {
-	if c.frozen.Load() {
-		return c.m[key], false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.m[key], c.cands < c.budget
-}
-
-func (c *sweepCache) put(key uint64, sw *sweepEntry) *sweepEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prior, ok := c.m[key]; ok {
-		return prior
-	}
-	if c.cands >= c.budget {
-		return sw
-	}
-	c.m[key] = sw
-	c.cands += len(sw.cands)
-	if c.cands >= c.budget {
-		c.frozen.Store(true)
-	}
-	return sw
-}
-
 // NewUrn prepares the urn: the alias table over root nodes weighted by
 // occ(v) (built in O(n), Section 3.3) and the total treelet count t. The
 // per-node totals pass — the dominant open-time cost on smart tables,
@@ -256,8 +212,8 @@ func NewUrn(g *graph.Graph, col *coloring.Coloring, tab *table.Table, cat *treel
 		BufferThreshold: 10000,
 		BufferSize:      100,
 		synthCache:      table.NewSynthCache(),
-		decode:          table.NewDecodedCache(DefaultDecodePairBudget),
-		sweeps:          newSweepCache(DefaultSweepCandBudget),
+		decode:          newMemo[table.Decoded](DefaultDecodePairBudget),
+		sweeps:          newMemo[sweepEntry](DefaultSweepCandBudget),
 		canon:           newCanonTable(k),
 	}
 	n := g.NumNodes()
@@ -287,14 +243,16 @@ func NewUrn(g *graph.Graph, col *coloring.Coloring, tab *table.Table, cat *treel
 		wg.Wait()
 	}
 	weights := make([]float64, 0, n)
+	var total u128.Uint128
 	for v := 0; v < n; v++ {
 		t := totals[v]
 		if !t.IsZero() {
 			u.roots = append(u.roots, int32(v))
 			weights = append(weights, t.Float64())
 		}
-		u.total = u.total.Add(t)
+		total = total.Add(t)
 	}
+	u.total = u.distinct(total)
 	u.rootAlias = alias.New(weights)
 	return u, nil
 }
@@ -309,16 +267,19 @@ func parallelWorkers(items int) int {
 	return w
 }
 
-// Total returns t, the number of colorful k-treelet copies in the urn.
-// Without 0-rooting every copy is counted k times; Total corrects for that
-// so it always reports distinct copies.
-func (u *Urn) Total() u128.Uint128 {
+// distinct turns a sum of size-k record counts into distinct copies:
+// without 0-rooting every copy is counted once per node, k times.
+func (u *Urn) distinct(t u128.Uint128) u128.Uint128 {
 	if u.Tab.ZeroRooted {
-		return u.total
+		return t
 	}
-	q, _ := u.total.QuoRem64(uint64(u.K))
+	q, _ := t.QuoRem64(uint64(u.K))
 	return q
 }
+
+// Total returns t, the number of distinct colorful k-treelet copies in the
+// urn.
+func (u *Urn) Total() u128.Uint128 { return u.total }
 
 // Empty reports whether the urn holds no colorful k-treelets (possible on
 // unlucky colorings of tiny graphs).
@@ -337,18 +298,21 @@ func (u *Urn) view(h int, v int32) table.View {
 // before cloning; existing clones keep the old caches. The canonical-form
 // table is not a budgeted cache and stays shared.
 func (u *Urn) SetCacheBudgets(decodePairs, sweepCands int) {
-	u.decode = table.NewDecodedCache(decodePairs)
-	u.sweeps = newSweepCache(sweepCands)
+	u.decode = newMemo[table.Decoded](decodePairs)
+	u.sweeps = newMemo[sweepEntry](sweepCands)
 }
 
 // rootRec returns the decoded size-k record of root v when the decode
 // cache holds or admits it, nil otherwise (caller falls back to the packed
 // view). A hit builds no View.
 func (u *Urn) rootRec(v int32) *table.Decoded {
-	if d, admits := u.decode.Lookup(u.K, v); d != nil || !admits {
+	d, admits := u.decode.get(uint64(v))
+	if d != nil || !admits {
 		return d
 	}
-	return u.decode.Get(u.K, v, u.view(u.K, v))
+	d = new(table.Decoded)
+	u.view(u.K, v).Decode(d)
+	return u.decode.put(uint64(v), d, d.Len())
 }
 
 // Sample draws one uniform colorful k-treelet copy and returns the
@@ -527,7 +491,7 @@ func (u *Urn) sweepFor(key uint64, v int32, tc treelet.Colored) *sweepEntry {
 	}
 	sw = new(sweepEntry)
 	u.computeSweep(sw, v, tc)
-	return u.sweeps.put(key, sw)
+	return u.sweeps.put(key, sw, len(sw.cands))
 }
 
 // computeSweep performs one neighbor sweep into sw, reusing its arrays:

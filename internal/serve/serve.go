@@ -35,12 +35,12 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/estimate"
 	"repro/internal/graphlet"
 	"repro/internal/registry"
 )
@@ -327,22 +327,9 @@ func (s *Server) countOn(ctx context.Context, name string, q core.Query, req *Co
 // codes first; the Describe/format work happens only for the entries
 // actually served.
 func renderCountResponse(k int, strategy core.Strategy, top int, qres *core.QueryResult) *CountResponse {
-	type rawEstimate struct {
-		code  graphlet.Code
-		count float64
-	}
-	raw := make([]rawEstimate, 0, len(qres.Counts))
-	for code, c := range qres.Counts {
-		raw = append(raw, rawEstimate{code, c})
-	}
-	sort.Slice(raw, func(i, j int) bool {
-		if raw[i].count != raw[j].count {
-			return raw[i].count > raw[j].count
-		}
-		return raw[i].code.Less(raw[j].code)
-	})
-	if top > 0 && top < len(raw) {
-		raw = raw[:top]
+	codes := estimate.Ranked(qres.Counts)
+	if top > 0 && top < len(codes) {
+		codes = codes[:top]
 	}
 	resp := &CountResponse{
 		K:            k,
@@ -351,14 +338,14 @@ func renderCountResponse(k int, strategy core.Strategy, top int, qres *core.Quer
 		Covered:      qres.Covered,
 		SampleTimeMs: float64(qres.SampleTime.Microseconds()) / 1000,
 		Achieved:     renderAchieved(qres.Achieved),
-		Counts:       make([]CountEstimate, 0, len(raw)),
+		Counts:       make([]CountEstimate, 0, len(codes)),
 	}
-	for _, e := range raw {
+	for _, code := range codes {
 		resp.Counts = append(resp.Counts, CountEstimate{
-			Code:        e.code.String(),
-			Description: graphlet.Describe(k, e.code),
-			Count:       e.count,
-			Frequency:   qres.Frequencies[e.code],
+			Code:        code.String(),
+			Description: graphlet.Describe(k, code),
+			Count:       qres.Counts[code],
+			Frequency:   qres.Frequencies[code],
 		})
 	}
 	return resp
@@ -480,14 +467,7 @@ func (s *Server) handleV1Signatures(w http.ResponseWriter, r *http.Request) {
 // by ascending id) and truncates to the requested top-m before the
 // Describe/format work runs.
 func renderSignaturesResponse(name string, k int, strategy core.Strategy, req *SignaturesRequest, sres *core.SignaturesResult) *SignaturesResponse {
-	nodes := make([]core.NodeSignature, len(sres.Nodes))
-	copy(nodes, sres.Nodes)
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Total != nodes[j].Total {
-			return nodes[i].Total > nodes[j].Total
-		}
-		return nodes[i].Node < nodes[j].Node
-	})
+	nodes := core.RankedNodes(sres.Nodes)
 	top := req.TopNodes
 	if top == 0 && len(req.Nodes) == 0 {
 		top = defaultTopNodes

@@ -179,25 +179,6 @@ func (t *Table) TotalK() u128.Uint128 {
 	return sum
 }
 
-// ShapeTotals returns r_j for every size-K rooted shape grouped by unrooted
-// canonical form: the number of colorful copies of each unrooted k-treelet
-// shape in the urn.
-func (t *Table) ShapeTotals(cat *treelet.Catalog) map[treelet.Treelet]u128.Uint128 {
-	out := make(map[treelet.Treelet]u128.Uint128)
-	for _, u := range cat.UnrootedK {
-		out[u] = u128.Zero
-	}
-	cache := NewSynthCache() // local to this pass, so the walk stays concurrency-safe
-	for v := int32(0); int(v) < t.N; v++ {
-		t.Rec(t.K, v).WithCache(cache).Each(func(key treelet.Colored, cnt u128.Uint128) bool {
-			shape := cat.Unrooted(key.Tree())
-			out[shape] = out[shape].Add(cnt)
-			return true
-		})
-	}
-	return out
-}
-
 // Bytes returns the storage footprint of the table: the packed arenas, the
 // per-(size, node) offset indexes (8 bytes per node per stored level), and
 // — for smart tables — the colored-degree summaries and node colors the

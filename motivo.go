@@ -26,7 +26,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -287,19 +286,14 @@ type Certificate = core.Certificate
 // Top returns the n graphlets with the largest estimated counts (all of
 // them if n ≤ 0 or exceeds the support).
 func (r *Result) Top(n int) []Estimate {
-	freq := estimate.Frequencies(r.Counts)
-	out := make([]Estimate, 0, len(r.Counts))
-	for code, c := range r.Counts {
-		out = append(out, Estimate{Code: code, Count: c, Frequency: freq[code]})
+	codes := estimate.Ranked(r.Counts)
+	if n > 0 && n < len(codes) {
+		codes = codes[:n]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Code.Less(out[j].Code)
-	})
-	if n > 0 && n < len(out) {
-		out = out[:n]
+	freq := estimate.Frequencies(r.Counts)
+	out := make([]Estimate, len(codes))
+	for i, code := range codes {
+		out[i] = Estimate{Code: code, Count: r.Counts[code], Frequency: freq[code]}
 	}
 	return out
 }
