@@ -16,8 +16,7 @@ GO ?= go
 # metrics are machine-independent, so cmd/benchjson holds them to a fixed
 # tight bound instead: B/op may rise 5%, allocs/op 5% and 2 allocations.
 # An allocation metric whose five baseline runs already spread wider than
-# that (the two-worker BuildSharded arms, whose per-worker memos follow the
-# schedule) keeps BENCH_TOLERANCE.
+# that keeps BENCH_TOLERANCE.
 BENCH_GOMAXPROCS ?= 1
 BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen|BenchmarkSmartSynthesis|BenchmarkBuildSharded|BenchmarkSignatures|BenchmarkRunToPrecision)
 BENCH_GATED_TIME ?= 400ms

@@ -668,8 +668,8 @@ func BenchmarkReadEdgeList(b *testing.B) {
 
 // BenchmarkBuildSharded is the gated build rung, on the k=6 acceptance
 // workload: both arms run the one sharded level pass, the unbounded arm
-// with in-RAM shard sinks and the budget arm with per-shard spill files
-// and a capped memo. The tables are bit-identical (pinned by
+// with in-RAM shard sinks and the budget arm with per-worker spill files
+// and a smaller cap on the record cache and neighbor-sum store. The tables are bit-identical (pinned by
 // TestBudgetBuildBitIdentical); what this family watches is the pass
 // itself and what spilling and the merge add on top. Both arms pin two
 // workers, so the shared work queue runs even when the gate measures at

@@ -226,6 +226,8 @@ func cmdBuild(args []string) error {
 	fmt.Printf("graph:            %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 	fmt.Printf("build time:       %v\n", stats.Duration.Round(1e6))
 	fmt.Printf("check-and-merge:  %d ops\n", stats.CheckMergeOps)
+	fmt.Printf("level caches:     %d record hits, %d record misses (decodes), %d nodes in the neighbor-sum store\n",
+		stats.RecordHits, stats.RecordMisses, stats.SumNodes)
 	if *memBudget > 0 {
 		fmt.Printf("mem budget:       %.1f MiB (sharded bounded-memory build, %.1f MiB streamed through spill)\n",
 			float64(*memBudget)/(1<<20), float64(stats.SpillBytes)/(1<<20))

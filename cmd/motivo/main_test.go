@@ -148,6 +148,9 @@ func TestBuildOutputModes(t *testing.T) {
 	if !strings.Contains(out, "smart stars (star records synthesized)") {
 		t.Fatalf("default build does not report smart stars:\n%s", out)
 	}
+	if !strings.Contains(out, "record hits") || !strings.Contains(out, "neighbor-sum store") {
+		t.Fatalf("default build does not report its level caches:\n%s", out)
+	}
 	out, err = captureStdout(t, func() error {
 		return cmdBuild([]string{"-i", graphPath, "-k", "4", "-smart-stars=false"})
 	})

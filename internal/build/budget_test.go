@@ -13,6 +13,7 @@ import (
 	"repro/internal/build"
 	"repro/internal/coloring"
 	"repro/internal/gen"
+	"repro/internal/table"
 	"repro/internal/treelet"
 )
 
@@ -30,8 +31,9 @@ var refDigests = map[bool]string{
 // (acceptance criterion): every build mode must produce a table
 // byte-identical to the pinned reference of the same coloring, across
 // worker counts, in-RAM and spilling sinks, and budgets small enough to
-// force memo drops — shard boundaries, the work-stealing schedule, and
-// the merge may change where bytes transit, never what the table says.
+// freeze the record cache early and keep the neighbor-sum store small —
+// shard boundaries, the work-stealing schedule, the caches and the merge
+// may change where bytes transit, never what the table says.
 func TestBudgetBuildBitIdentical(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 11)
 	k := 5
@@ -114,12 +116,15 @@ func peakHeap(fn func()) uint64 {
 }
 
 // TestBudgetBuildUnderMemoryLimit is the bounded-memory acceptance smoke:
-// a k=6 materialized build on the benchmark ER graph must complete under
-// a debug.SetMemoryLimit set well below the unbounded path's peak heap —
+// a k=6 materialized build on an ER graph must complete under a
+// debug.SetMemoryLimit set well below the unbounded path's peak heap —
 // the limit that would drive the unbounded build into GC death spiral /
-// OOM territory — and still produce the byte-identical table. Skipped
-// under the race detector (instrumented heaps dwarf the workload) and in
-// -short runs.
+// OOM territory — and still produce the byte-identical table. Each peak
+// window holds the build alone: the table's digest, which serializes it
+// into a buffer of its own size, is taken after the window closes. The
+// graph is sized so that the unbounded build's transient heap clears the
+// 8 MiB floor below. Skipped under the race detector (instrumented heaps
+// dwarf the workload) and in -short runs.
 func TestBudgetBuildUnderMemoryLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a multi-MiB materialized k=6 table twice")
@@ -127,7 +132,7 @@ func TestBudgetBuildUnderMemoryLimit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented allocation defeats heap-peak accounting")
 	}
-	g := gen.ErdosRenyi(2000, 16000, 1033)
+	g := gen.ErdosRenyi(3000, 24000, 1033)
 	k := 6
 	col := coloring.Uniform(g.NumNodes(), k, 1007)
 	cat := treelet.NewCatalog(k)
@@ -136,10 +141,9 @@ func TestBudgetBuildUnderMemoryLimit(t *testing.T) {
 	mat := build.DefaultOptions()
 	mat.SmartStars = false
 	mat.Workers = 4
-	// The unbounded reference runs on one worker, whose memo holds the
-	// pool's whole memo cap: its transient heap does not depend on how a
-	// schedule spreads shards over the pool, so the limit derived from it
-	// is steady from run to run.
+	// The unbounded reference runs on one worker, so its transient heap
+	// does not depend on how a schedule spreads shards over the pool, and
+	// the limit derived from it is steady from run to run.
 	ref := mat
 	ref.Workers = 1
 
@@ -155,13 +159,14 @@ func TestBudgetBuildUnderMemoryLimit(t *testing.T) {
 	var refSum [sha256.Size]byte
 	var unboundedPeak uint64
 	for range 2 {
+		var tab *table.Table
 		unboundedPeak = max(unboundedPeak, peakHeap(func() {
-			tab, _, err := build.Run(context.Background(), g, col, k, cat, ref)
-			if err != nil {
+			var err error
+			if tab, _, err = build.Run(context.Background(), g, col, k, cat, ref); err != nil {
 				t.Fatal(err)
 			}
-			refSum = sha256.Sum256(tableBytes(t, tab, col))
 		}))
+		refSum = sha256.Sum256(tableBytes(t, tab, col))
 		runtime.GC()
 	}
 
@@ -179,18 +184,19 @@ func TestBudgetBuildUnderMemoryLimit(t *testing.T) {
 	budget := mat
 	budget.MemBudget = transient / 8
 	budget.SpillDir = t.TempDir()
-	var gotSum [sha256.Size]byte
+	var tab *table.Table
 	budgetPeak := peakHeap(func() {
-		tab, stats, err := build.Run(context.Background(), g, col, k, cat, budget)
-		if err != nil {
+		var stats *build.Stats
+		var err error
+		if tab, stats, err = build.Run(context.Background(), g, col, k, cat, budget); err != nil {
 			t.Fatal(err)
 		}
 		if stats.SpillBytes == 0 {
 			t.Error("budget build reports zero spill bytes")
 		}
-		gotSum = sha256.Sum256(tableBytes(t, tab, col))
 	})
 	debug.SetMemoryLimit(prev)
+	gotSum := sha256.Sum256(tableBytes(t, tab, col))
 
 	t.Logf("baseline %.1f MiB, unbounded peak %.1f MiB, limit %.1f MiB, budget peak %.1f MiB",
 		float64(before.HeapAlloc)/(1<<20), float64(unboundedPeak)/(1<<20),

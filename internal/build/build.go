@@ -21,10 +21,14 @@
 // Performance machinery implemented here, matching the paper:
 //
 //   - a vertex-sharded worker pool: nodes of a level are processed
-//     concurrently by Options.Workers goroutines (0 = GOMAXPROCS), which
-//     share one cap on their decoded-record memos; each node's record
-//     only reads completed lower levels, so the result is bit-identical
-//     regardless of scheduling;
+//     concurrently by Options.Workers goroutines (0 = GOMAXPROCS); each
+//     node's record only reads completed lower levels, so the result is
+//     bit-identical regardless of scheduling;
+//   - one record cache and one neighbor-sum store for the whole build,
+//     shared by the pool under one cap: completed levels never change, so
+//     a lower-level record is decoded (or, with smart stars, synthesized)
+//     once per build while the cache admits it, and the smart-star sums of
+//     the highest-degree nodes are computed once (table.SumStore);
 //   - 0-rooting (Section 3.2): with Options.ZeroRooted the size-k level is
 //     computed only at color-0 nodes, counting each colorful k-treelet copy
 //     exactly once (it has exactly one color-0 node) and cutting both time
@@ -37,12 +41,13 @@
 //   - greedy flushing (Section 3.1): each level pass cuts the vertex range
 //     into contiguous shards on a shared work queue, and every completed
 //     record is encoded once and appended to its shard's sink — a byte
-//     slice, or with Options.Spill, SpillDir or MemBudget a temp file
-//     through table.DiskStore, so the pass holds one record at a time
-//     whatever the level's size. The shards are then concatenated in order
-//     into the level arena. Note the scope: completed lower levels stay
-//     resident (they are randomly accessed by every later pass and by the
-//     sampler), so spilling bounds only what a pass adds on top of them.
+//     slice, or with Options.Spill, SpillDir or MemBudget a byte range of
+//     its worker's spill file (table.DiskStore), so the pass holds one
+//     record at a time whatever the level's size. The shards are then
+//     concatenated in order into the level arena. Note the scope:
+//     completed lower levels stay resident (they are randomly accessed by
+//     every later pass and by the sampler), so spilling bounds only what a
+//     pass adds on top of them.
 //     Larger-than-RAM tables are a serving-side feature: persist with
 //     `motivo build -o` and reopen through table.OpenMapped, which serves
 //     every level zero-copy off the page cache (see internal/table/mmap.go).
@@ -52,12 +57,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
+	"repro/internal/memo"
 	"repro/internal/table"
 	"repro/internal/treelet"
 	"repro/internal/u128"
@@ -74,10 +81,10 @@ type Options struct {
 	// ZeroRooted enables 0-rooting (Section 3.2): size-k records are
 	// computed only at color-0 nodes, each unrooted copy counted once.
 	ZeroRooted bool
-	// Spill sends every level pass's records to per-shard temp files
-	// instead of in-memory buffers (greedy flushing, Section 3.1; see the
-	// package comment for what this does and does not bound). SpillDir or
-	// MemBudget also enables it.
+	// Spill sends every level pass's records to temp files, one per pool
+	// worker, instead of in-memory buffers (greedy flushing, Section 3.1;
+	// see the package comment for what this does and does not bound).
+	// SpillDir or MemBudget also enables it.
 	Spill bool
 	// SpillDir is the directory for spill files (the default temp dir
 	// when empty). Setting it implies Spill.
@@ -93,14 +100,14 @@ type Options struct {
 	// sequences are bit-identical to a materialized build at equal seed.
 	SmartStars bool
 	// MemBudget, when > 0, bounds the build's transient memory (bytes): it
-	// implies Spill, so records stream to per-shard spill files that are
-	// merged into the level arena without an uncompacted level copy ever
-	// sitting in RAM, and it lowers the cap on the worker pool's
-	// decoded-record memos from a fixed 8 MiB to roughly MemBudget/8,
-	// split evenly over the workers. Completed lower levels stay resident
-	// (every later pass random-accesses them); the budget bounds what the
-	// pass itself adds on top. Tables are byte-identical with and without
-	// it at any worker count.
+	// implies Spill, so records stream to spill files that are merged into
+	// the level arena without an uncompacted level copy ever sitting in
+	// RAM, and it lowers the cap on the pool's shared record cache and
+	// neighbor-sum store from a fixed 8 MiB to MemBudget/8 (at least 256
+	// KiB), whatever the worker count. Completed lower levels stay
+	// resident (every later pass random-accesses them); the budget bounds
+	// what the pass itself adds on top. Tables are byte-identical with and
+	// without it at any worker count.
 	MemBudget int64
 }
 
@@ -152,6 +159,13 @@ type Stats struct {
 	// BufferedNodes counts node/level passes that took the
 	// neighbor-buffered path.
 	BufferedNodes int64
+	// RecordHits and RecordMisses count the level passes' reads of
+	// lower-level records that the build's record cache answered, and
+	// those it did not, which decoded the record.
+	RecordHits, RecordMisses int64
+	// SumNodes is the number of nodes the neighbor-sum store admitted (0
+	// when the build materializes stars).
+	SumNodes int
 }
 
 // Run executes the build-up phase on g under col, filling the count table
@@ -166,8 +180,7 @@ func Run(ctx context.Context, g *graph.Graph, col *coloring.Coloring, k int, cat
 	if col == nil || col.K != k {
 		return nil, nil, fmt.Errorf("build: coloring has %d colors, want %d", colK(col), k)
 	}
-	n := g.NumNodes()
-	if len(col.Colors) != n {
+	if n := g.NumNodes(); len(col.Colors) != n {
 		return nil, nil, fmt.Errorf("build: coloring covers %d nodes, graph has %d", len(col.Colors), n)
 	}
 	if cat == nil || cat.K < k {
@@ -175,36 +188,11 @@ func Run(ctx context.Context, g *graph.Graph, col *coloring.Coloring, k int, cat
 	}
 
 	start := time.Now()
-	b := &builder{
-		g: g, col: col, k: k, cat: cat, opts: opts,
-		tab:   table.New(n, k, opts.ZeroRooted),
-		stats: &Stats{LevelTime: make([]time.Duration, k+1)},
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if opts.toDisk() {
-		// Shard sinks open on a shard's first record, so a build whose
-		// levels store nothing would never touch the spill directory:
-		// check once, up front, that it can hold a file.
-		probe, err := table.NewDiskStoreBuffered(opts.SpillDir, 0)
-		if err != nil {
-			return nil, nil, fmt.Errorf("build: spill directory: %w", err)
-		}
-		if err := probe.Close(); err != nil {
-			return nil, nil, fmt.Errorf("build: spill directory: %w", err)
-		}
-	}
-	firstPass := 2
-	if opts.SmartStars {
-		// Smart stars: sizes 1..3 are fully synthesized from the
-		// colored-degree summaries — no DP pass, no stored level. The first
-		// DP pass is size 4, reading the synthetic views below it.
-		if err := b.tab.EnableSmartStars(g, col); err != nil {
-			return nil, nil, err
-		}
-		firstPass = 4
-	} else if err := b.levelOne(); err != nil {
+	b, firstPass, err := newBuilder(g, col, k, cat, opts)
+	if err != nil {
 		return nil, nil, err
 	}
 	for h := firstPass; h <= k; h++ {
@@ -219,6 +207,48 @@ func Run(ctx context.Context, g *graph.Graph, col *coloring.Coloring, k int, cat
 	b.stats.Pairs = b.tab.Pairs()
 	b.stats.TableBytes = b.tab.Bytes()
 	return b.tab, b.stats, nil
+}
+
+// newBuilder prepares a build of validated inputs up to its first DP
+// pass, which it returns: the table with its synthesized or seeded lowest
+// levels, and the level passes' caches.
+func newBuilder(g *graph.Graph, col *coloring.Coloring, k int, cat *treelet.Catalog, opts Options) (*builder, int, error) {
+	b := &builder{
+		g: g, col: col, k: k, cat: cat, opts: opts,
+		tab:   table.New(g.NumNodes(), k, opts.ZeroRooted),
+		stats: &Stats{LevelTime: make([]time.Duration, k+1)},
+	}
+	if opts.toDisk() {
+		// Spill files open on a worker's first record, so a build whose
+		// levels store nothing would never touch the spill directory:
+		// check once, up front, that it can hold a file.
+		probe, err := table.NewDiskStoreBuffered(opts.SpillDir, 0)
+		if err != nil {
+			return nil, 0, fmt.Errorf("build: spill directory: %w", err)
+		}
+		if err := probe.Close(); err != nil {
+			return nil, 0, fmt.Errorf("build: spill directory: %w", err)
+		}
+	}
+	firstPass := 2
+	if opts.SmartStars {
+		// Smart stars: sizes 1..3 are fully synthesized from the
+		// colored-degree summaries — no DP pass, no stored level. The first
+		// DP pass is size 4, reading the synthetic views below it.
+		if err := b.tab.EnableSmartStars(g, col); err != nil {
+			return nil, 0, err
+		}
+		firstPass = 4
+	} else if err := b.levelOne(); err != nil {
+		return nil, 0, err
+	}
+	// The store takes up to half the cap, highest degrees first, and the
+	// record cache the rest.
+	cacheBytes := opts.cacheBytes()
+	b.sums = table.NewSumStore(b.tab, cacheBytes/2)
+	b.recs = memo.New[table.Pairs](int(cacheBytes - b.sums.Bytes()))
+	b.stats.SumNodes = b.sums.Nodes()
+	return b, firstPass, nil
 }
 
 func colK(c *coloring.Coloring) int {
@@ -245,6 +275,13 @@ type builder struct {
 
 	tab   *table.Table
 	stats *Stats
+
+	// The caches of the level passes, shared by the pool for the whole
+	// build: decoded lower-level records keyed by size<<32 | node, and the
+	// neighbor sums of the highest-degree nodes (nil when materialized).
+	// Both hold pure functions of completed levels, which never change.
+	recs *memo.Memo[table.Pairs]
+	sums *table.SumStore
 }
 
 // topLevelSkip reports whether node v is excluded from the size-h pass
@@ -271,22 +308,22 @@ func (b *builder) levelOne() error {
 
 // level runs the size-h pass: the vertex range is cut into contiguous
 // shards that form a shared work queue, each pool goroutine pulls shards
-// off it with one worker (and so one decoded-record memo) for the whole
-// pass, and every record goes to its shard's sink in ascending vertex
-// order (shard.go). The merge concatenates the shards in order into the
-// level arena (merge.go), so the table is byte-identical whatever the
-// schedule, the sink and the worker count.
+// off it with one worker for the whole pass, and every record goes to its
+// shard's sink in ascending vertex order (shard.go). The merge
+// concatenates the shards in order into the level arena (merge.go), so
+// the table is byte-identical whatever the schedule, the sink and the
+// worker count.
 func (b *builder) level(ctx context.Context, h int) error {
 	lvl := time.Now()
 	n := b.g.NumNodes()
 	shards := makeShards(b.g, b.opts.workers())
-	defer func() {
-		// The merge releases each sink it consumed; this sweep covers
-		// error exits mid-pass.
-		for i := range shards {
-			shards[i].close()
-		}
-	}()
+	ws := make([]*worker, min(b.opts.workers(), len(shards)))
+	for i := range ws {
+		ws[i] = newWorker(b, h)
+	}
+	// The spill files go once the merge has read them; this covers error
+	// exits mid-pass.
+	defer closeSpills(ws)
 	// starts[v] is v's record offset within its shard until the merge
 	// rebases it; shards own disjoint ranges, so workers write it freely.
 	starts := make([]int64, n)
@@ -295,18 +332,14 @@ func (b *builder) level(ctx context.Context, h int) error {
 	}
 
 	var (
-		ops      int64
-		buffered int64
 		firstErr atomic.Pointer[error]
 		cursor   atomic.Int64
 		wg       sync.WaitGroup
 	)
-	workers := min(b.opts.workers(), len(shards))
-	wg.Add(workers)
-	for range workers {
+	wg.Add(len(ws))
+	for _, w := range ws {
 		go func() {
 			defer wg.Done()
-			w := newWorker(b, h)
 			for {
 				si := int(cursor.Add(1)) - 1
 				if si >= len(shards) || firstErr.Load() != nil {
@@ -317,97 +350,119 @@ func (b *builder) level(ctx context.Context, h int) error {
 					break
 				}
 			}
-			atomic.AddInt64(&ops, w.ops)
-			atomic.AddInt64(&buffered, w.buffered)
 		}()
 	}
 	wg.Wait()
 	if perr := firstErr.Load(); perr != nil {
 		return *perr
 	}
-	b.stats.CheckMergeOps += ops
-	b.stats.BufferedNodes += buffered
-
+	for _, w := range ws {
+		b.stats.CheckMergeOps += w.ops
+		b.stats.BufferedNodes += w.buffered
+		b.stats.RecordHits += w.hits
+		b.stats.RecordMisses += w.misses
+	}
+	if h == b.k {
+		// No pass reads the caches again: let the merge of the top level,
+		// the largest arena, run without them.
+		b.recs, b.sums = nil, nil
+	}
 	if err := b.mergeShards(h, shards, starts); err != nil {
+		return err
+	}
+	if err := closeSpills(ws); err != nil {
 		return err
 	}
 	b.stats.LevelTime[h] = time.Since(lvl)
 	return nil
 }
 
-// maxMemoBytes caps the decoded-record memos of one level pass: a pass
-// consults each lower-level record once per consumer (deg(v) times across
-// the range), and decoding — or, with smart stars, synthesizing — it anew
-// every time dominates the pass. Each pool goroutine keeps its memo for
-// the whole pass, so the cap is shared by the pool, an equal slice per
-// worker: more workers split it instead of multiplying it. When a
-// worker's slice fills, its memo is simply dropped and refills
-// (correctness never depends on it).
-const maxMemoBytes = 8 << 20
+// closeSpills removes the workers' spill files and returns the first error.
+func closeSpills(ws []*worker) error {
+	var first error
+	for _, w := range ws {
+		if w.spill != nil {
+			if err := w.spill.Close(); err != nil && first == nil {
+				first = err
+			}
+			w.spill = nil
+		}
+	}
+	return first
+}
 
-// worker is the per-goroutine state of the level pass: the accumulation
-// map, the decoded-record memo (lower levels are packed or synthesized;
-// each record consulted is materialized into slice form at most once per
-// pass), and local stat counters (merged once at the end, so the hot loop
-// is contention-free).
+// maxCacheBytes caps what the pool keeps of lower levels for the whole
+// build: the record cache plus the neighbor-sum store. A pass consults
+// each lower-level record once per consumer (deg(v) times across the
+// range), and decoding — or, with smart stars, synthesizing — it anew
+// every time dominates the pass. Lower levels never change once their
+// pass is merged, so what a pass keeps still serves every later pass.
+// Bounded-memory builds lower the cap to MemBudget/8, floored so tiny
+// budgets still keep the hot lower levels.
+const maxCacheBytes = 8 << 20
+
+// cacheBytes returns the build's cache cap.
+func (o Options) cacheBytes() int64 {
+	if o.MemBudget > 0 {
+		return min(maxCacheBytes, max(o.MemBudget/8, 256<<10))
+	}
+	return maxCacheBytes
+}
+
+// worker is the per-goroutine state of one level pass: the accumulation
+// map, the decode targets of reads the record cache will not keep (one for
+// v's own records, one for its neighbors', which are read while v's is in
+// use), the spill file of the shards it runs, and local stat counters
+// (merged once at the end, so the hot loop is contention-free).
 type worker struct {
 	b   *builder
 	h   int
 	acc map[treelet.Colored]u128.Uint128
 
-	recMemo   map[int64]*table.Pairs // decoded (size, node) records
-	memoBytes int64                  // approximate decoded bytes held by recMemo
-	memoLimit int64                  // this worker's slice of maxMemoBytes (or of MemBudget)
-	outBuf    table.Pairs            // sorted result of the accumulation map
-	aggBuf    table.Pairs            // neighbor-buffered aggregate record
-	enc       []byte                 // packed encoding handed to the sink
-	cache     *table.SynthCache      // smart-star neighbor sums (nil when materialized)
+	vRec, uRec table.Pairs       // decoded records the cache did not keep
+	outBuf     table.Pairs       // sorted result of the accumulation map
+	aggBuf     table.Pairs       // neighbor-buffered aggregate record
+	enc        []byte            // packed encoding handed to the sink
+	cache      *table.SynthCache // smart-star neighbor sums (nil when materialized)
+	spill      *table.DiskStore  // this pass's spill file (Options.toDisk), made on first write
 
-	ops      int64
-	buffered int64
+	ops, buffered, hits, misses int64
 }
 
 func newWorker(b *builder, h int) *worker {
-	workers := int64(b.opts.workers())
-	w := &worker{
-		b: b, h: h,
-		acc:       make(map[treelet.Colored]u128.Uint128),
-		recMemo:   make(map[int64]*table.Pairs),
-		memoLimit: maxMemoBytes / workers,
-	}
+	w := &worker{b: b, h: h, acc: make(map[treelet.Colored]u128.Uint128)}
 	if b.opts.SmartStars {
-		// Smart inputs are synthesized on read; the per-worker cache keeps
-		// a node's neighbor sums across its reads at different sizes.
-		w.cache = table.NewSynthCache()
-	}
-	if budget := b.opts.MemBudget; budget > 0 {
-		// Bounded-memory builds lower the cap: the worker pool's memos are
-		// the one scratch structure that scales with record size, so they
-		// get an equal slice of a fraction of the budget (floored so tiny
-		// budgets still memoize the hot lower levels).
-		w.memoLimit = min(w.memoLimit, max(budget/(8*workers), 256<<10))
+		// Smart inputs are synthesized on read: the store serves the sums
+		// of the nodes it admits, and the worker's cache computes another
+		// node's sums in one sweep and keeps them across its reads at
+		// different sizes.
+		w.cache = b.sums.NewCache()
 	}
 	return w
 }
 
-// pairs returns the decoded record of node v at size h, memoized per
-// worker. The result is shared and must be treated as read-only.
-func (w *worker) pairs(h int, v int32) *table.Pairs {
-	key := int64(h)<<32 | int64(uint32(v))
-	if p, ok := w.recMemo[key]; ok {
+// pairs returns the decoded record of node v at size h from the build's
+// record cache, decoding it on a miss: into a new record of exact length
+// that the cache publishes, or, once the cache has frozen, into scratch,
+// which is then returned (valid until scratch's next use). Records are
+// shared and must be treated as read-only.
+func (w *worker) pairs(h int, v int32, scratch *table.Pairs) *table.Pairs {
+	key := uint64(h)<<32 | uint64(uint32(v))
+	p, admits := w.b.recs.Get(key)
+	if p != nil {
+		w.hits++
 		return p
 	}
-	p := new(table.Pairs)
-	w.b.tab.Rec(h, v).WithCache(w.cache).AppendPairs(p)
-	if w.memoBytes > w.memoLimit {
-		// Cap hit: drop the memo and let it refill (correctness never
-		// depends on it, only the recompute rate).
-		clear(w.recMemo)
-		w.memoBytes = 0
+	w.misses++
+	scratch.Reset()
+	w.b.tab.Rec(h, v).WithCache(w.cache).AppendPairs(scratch)
+	if !admits {
+		return scratch
 	}
-	w.recMemo[key] = p
-	w.memoBytes += int64(24*p.Len()) + 64 // 8B key + 16B count per pair, plus slice headers
-	return p
+	p = &table.Pairs{Keys: slices.Clone(scratch.Keys), Counts: slices.Clone(scratch.Counts)}
+	// 8 B of key and 16 B of count per pair, plus the struct and slice
+	// headers.
+	return w.b.recs.Put(key, p, 24*p.Len()+64)
 }
 
 // vertexRecord computes the full size-h record of node v by the
@@ -423,7 +478,7 @@ func (w *worker) vertexRecord(v int32) *table.Pairs {
 	}
 	for hpp := 1; hpp < w.h; hpp++ {
 		hp := w.h - hpp
-		rv := w.pairs(hp, v)
+		rv := w.pairs(hp, v, &w.vRec)
 		if rv.Len() == 0 {
 			continue
 		}
@@ -439,7 +494,7 @@ func (w *worker) vertexRecord(v int32) *table.Pairs {
 			continue
 		}
 		for _, u := range b.g.Neighbors(v) {
-			ru := w.pairs(hpp, u)
+			ru := w.pairs(hpp, u, &w.uRec)
 			if ru.Len() == 0 {
 				continue
 			}
@@ -468,7 +523,7 @@ func (w *worker) aggregateNeighbors(v int32, hpp int) {
 	b := w.b
 	agg := make(map[treelet.Colored]u128.Uint128)
 	for _, u := range b.g.Neighbors(v) {
-		ru := w.pairs(hpp, u)
+		ru := w.pairs(hpp, u, &w.uRec)
 		for i := 0; i < ru.Len(); i++ {
 			agg[ru.Keys[i]] = agg[ru.Keys[i]].Add(ru.Counts[i])
 			w.ops++

@@ -11,20 +11,21 @@ package build
 // produced it.
 
 // mergeShards copies every shard into one exact-size level arena, rebases
-// starts from shard-relative to arena offsets, and installs the level.
-// Transient memory is the arena itself (which the table keeps) plus the
-// sinks not yet consumed; each sink is released, and its spill file
-// deleted, as soon as it has been copied.
+// starts from shard-relative to arena offsets, and installs the level. A
+// spilled shard is one ranged read from its worker's spill file straight
+// into the arena. Transient memory is the arena itself (which the table
+// keeps) plus the in-RAM sinks not yet consumed; each is released as soon
+// as it has been copied, and the spill files go when the pass ends.
 func (b *builder) mergeShards(h int, shards []shard, starts []int64) error {
 	var total int64
 	for i := range shards {
-		total += shards[i].size()
+		total += shards[i].size
 	}
 	arena := make([]byte, total)
 	var off int64
 	for i := range shards {
 		s := &shards[i]
-		size := s.size()
+		size := s.size
 		if s.file != nil {
 			b.stats.SpillBytes += size
 		}

@@ -18,13 +18,12 @@ import (
 // the level arena instead of re-sorting.
 
 // shardsPerWorker is the queue's over-subscription factor: enough shards
-// per worker that stealing can balance what the weighted cut misjudges,
-// few enough that per-shard spill files stay coarse.
+// per worker that stealing can balance what the weighted cut misjudges.
 const shardsPerWorker = 8
 
 // minShards/maxShards clamp the shard count: below the floor stealing
-// cannot help, above the ceiling the temp-file count stops paying for
-// itself.
+// cannot help, above the ceiling the per-shard bookkeeping stops paying
+// for itself.
 const (
 	minShards = 16
 	maxShards = 512
@@ -32,13 +31,16 @@ const (
 
 // shard is one work unit of a level pass: a contiguous vertex range and
 // the sink its records go to, back to back in vertex order. The sink is a
-// byte slice, or a temp file when the build writes to disk — created on
-// the shard's first record, so a shard whose range stores nothing costs
-// no file.
+// byte slice, or, when the build writes to disk, a byte range of the spill
+// file of the worker that ran the shard: a worker writes its shards one
+// after another into one file, so each shard's records are contiguous
+// there.
 type shard struct {
 	lo, hi int32
 	mem    []byte           // in-RAM sink
-	file   *table.DiskStore // temp-file sink (Options.toDisk)
+	file   *table.DiskStore // the spill file holding the shard's range (Options.toDisk)
+	off    int64            // where the range starts in file
+	size   int64            // bytes written to the sink
 }
 
 // makeShards cuts g's vertex range into the work queue's contiguous
@@ -87,20 +89,24 @@ func (b *builder) runShard(ctx context.Context, w *worker, s *shard, starts []in
 			continue
 		}
 		w.enc = table.AppendRecord(w.enc[:0], rec)
-		starts[v] = s.size()
+		starts[v] = s.size
+		s.size += int64(len(w.enc))
 		if !b.opts.toDisk() {
 			s.mem = append(s.mem, w.enc...)
 			continue
 		}
 		if s.file == nil {
-			// Small write buffers: every open shard holds a live sink until
-			// the merge consumes it, so at the default shard count 1 MiB
-			// buffers alone would rival a small budget.
-			file, err := table.NewDiskStoreBuffered(b.opts.SpillDir, 64<<10)
-			if err != nil {
-				return err
+			if w.spill == nil {
+				// Small write buffers: every worker's file holds a live
+				// sink until the merge, so large buffers would rival a
+				// small budget.
+				file, err := table.NewDiskStoreBuffered(b.opts.SpillDir, 64<<10)
+				if err != nil {
+					return err
+				}
+				w.spill = file
 			}
-			s.file = file
+			s.file, s.off = w.spill, w.spill.Size()
 		}
 		if err := s.file.Flush(w.enc); err != nil {
 			return err
@@ -109,34 +115,13 @@ func (b *builder) runShard(ctx context.Context, w *worker, s *shard, starts []in
 	return nil
 }
 
-// size returns the bytes written to the shard's sink so far.
-func (s *shard) size() int64 {
-	if s.file != nil {
-		return s.file.Size()
-	}
-	return int64(len(s.mem))
-}
-
-// drain copies the shard's records into dst, which must be exactly size()
-// bytes, and releases the sink.
+// drain copies the shard's records into dst, which must be exactly size
+// bytes, and releases its in-RAM sink.
 func (s *shard) drain(dst []byte) error {
 	if s.file != nil {
-		if err := s.file.CopyInto(dst); err != nil {
-			return err
-		}
-	} else {
-		copy(dst, s.mem)
+		return s.file.ReadAt(dst, s.off)
 	}
-	return s.close()
-}
-
-// close releases the shard's sink, removing its temp file if it has one.
-func (s *shard) close() error {
+	copy(dst, s.mem)
 	s.mem = nil
-	if s.file == nil {
-		return nil
-	}
-	err := s.file.Close()
-	s.file = nil
-	return err
+	return nil
 }

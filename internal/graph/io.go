@@ -13,6 +13,9 @@ import (
 // int32, so ids live in [0, MaxNodes).
 const MaxNodes = 1<<31 - 1
 
+// maxLineBytes bounds one line of an edge list, its newline included.
+const maxLineBytes = 1 << 20
+
 // scanEdges parses the whitespace-separated edge-list format ("u v" per
 // line; blank lines and lines starting with '#' or '%' are comments),
 // calling fn with each edge's raw vertex ids. It is the one parser behind
@@ -20,7 +23,9 @@ const MaxNodes = 1<<31 - 1
 // path reports identical errors for identical inputs.
 func scanEdges(r io.Reader, fn func(u, v int64) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may run to maxLineBytes; the buffer grows to that only when a
+	// line needs it.
+	sc.Buffer(nil, maxLineBytes)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
@@ -127,6 +129,34 @@ func TestStreamingErrorsMatchBuffered(t *testing.T) {
 		_, errB := ReadEdgeList(noSeek{strings.NewReader(in)})
 		if errS == nil || errB == nil {
 			t.Errorf("input %q: streaming err %v, buffered err %v — both must fail", in, errS, errB)
+		}
+	}
+}
+
+// TestEdgeListLineLimit: a line of maxLineBytes-1 bytes before its newline
+// parses and a line of maxLineBytes fails with bufio.ErrTooLong, on the
+// streaming and the buffered path alike.
+func TestEdgeListLineLimit(t *testing.T) {
+	line := func(n int) string { return "0" + strings.Repeat(" ", n-2) + "1\n" }
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{{maxLineBytes - 1, true}, {maxLineBytes, false}} {
+		in := "2 3\n" + line(tc.n) + "1 2\n"
+		gs, errS := ReadEdgeList(strings.NewReader(in))
+		gb, errB := ReadEdgeList(noSeek{strings.NewReader(in)})
+		for path, err := range map[string]error{"streaming": errS, "buffered": errB} {
+			if tc.ok && err != nil {
+				t.Errorf("%s: a %d-byte line failed: %v", path, tc.n, err)
+			}
+			if !tc.ok && !errors.Is(err, bufio.ErrTooLong) {
+				t.Errorf("%s: a %d-byte line gave %v, want %v", path, tc.n, err, bufio.ErrTooLong)
+			}
+		}
+		if tc.ok && errS == nil && errB == nil {
+			if gs.NumNodes() != 4 || gs.NumEdges() != 3 || !bytes.Equal(graphBytes(t, gs), graphBytes(t, gb)) {
+				t.Errorf("a %d-byte line: streaming n=%d m=%d, or the two paths differ", tc.n, gs.NumNodes(), gs.NumEdges())
+			}
 		}
 	}
 }

@@ -36,16 +36,17 @@ var cacheArms = []struct {
 func checkRootResidency(t *testing.T, u *Urn) {
 	t.Helper()
 	pairs := 0
-	for v, d := range u.decode.m {
+	u.decode.Range(func(v uint64, d *table.Decoded) bool {
 		var want table.Decoded
 		u.Tab.Rec(u.K, int32(v)).Decode(&want)
 		if !reflect.DeepEqual(d.Keys, want.Keys) || !reflect.DeepEqual(d.Cum, want.Cum) {
 			t.Fatalf("resident record of node %d is not its decoded size-%d record", v, u.K)
 		}
 		pairs += d.Len()
-	}
-	if pairs == 0 || pairs != u.decode.spent {
-		t.Fatalf("root records hold %d of the memo's %d decoded pairs", pairs, u.decode.spent)
+		return true
+	})
+	if pairs == 0 || pairs != u.decode.Spent() {
+		t.Fatalf("root records hold %d of the memo's %d decoded pairs", pairs, u.decode.Spent())
 	}
 }
 

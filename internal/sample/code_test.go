@@ -207,8 +207,8 @@ func TestWarmDrawsDoNotAllocate(t *testing.T) {
 			if arm.threshold > 0 && u.BufferHits == 0 {
 				t.Fatal("no draw was served from a neighbor buffer — vacuous arm")
 			}
-			if frozen := u.sweeps.frozen.Load(); frozen != (arm.sweepBudget > 0) {
-				t.Fatalf("sweep cache frozen=%v with budget %d", frozen, u.sweeps.budget)
+			if frozen := u.sweeps.Frozen(); frozen != (arm.sweepBudget > 0) {
+				t.Fatalf("sweep cache frozen=%v with budget %d", frozen, arm.sweepBudget)
 			}
 			if arm.sweepBudget > 0 && u.Sweeps == sweeps {
 				t.Fatal("no sweep ran while measuring — vacuous arm")

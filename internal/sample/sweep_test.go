@@ -3,6 +3,7 @@ package sample
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -109,12 +110,13 @@ func TestSweepMatchesReference(t *testing.T) {
 					continue
 				}
 				u.SampleBatch(rand.New(rand.NewSource(int64(k))), 300, func(graphlet.Code, []int32) bool { return true })
-				for key, sw := range u.sweeps.m {
+				u.sweeps.Range(func(key uint64, sw *sweepEntry) bool {
 					v, tcol := unpackSweepKey(key)
 					if want := referenceSweep(u, v, tcol); !sameSweep(sw, want) {
 						t.Fatalf("k=%d %s/%s: cached sweep of %v at %d differs from the reference", k, gc.name, tc.name, tcol, v)
 					}
-				}
+					return true
+				})
 			}
 		}
 	}
@@ -168,10 +170,51 @@ func TestSweepCacheFreezesUnderConcurrentClones(t *testing.T) {
 	for _, s := range sweeps {
 		total += s
 	}
-	if !shared.sweeps.frozen.Load() || len(shared.sweeps.m) == 0 {
-		t.Fatalf("sweep cache frozen=%v with %d entries: the budget must be spent mid-run", shared.sweeps.frozen.Load(), len(shared.sweeps.m))
+	if !shared.sweeps.Frozen() || shared.sweeps.Len() == 0 {
+		t.Fatalf("sweep cache frozen=%v with %d entries: the budget must be spent mid-run", shared.sweeps.Frozen(), shared.sweeps.Len())
 	}
-	if total <= int64(len(shared.sweeps.m)) {
-		t.Fatalf("%d sweeps for %d cached entries: no miss ran after the cache froze", total, len(shared.sweeps.m))
+	if total <= int64(shared.sweeps.Len()) {
+		t.Fatalf("%d sweeps for %d cached entries: no miss ran after the cache froze", total, shared.sweeps.Len())
+	}
+}
+
+// TestSweepScratchGrowsOnce: sweepBound bounds every sweep's candidates,
+// and on a frozen sweep cache a fresh clone's first miss sizes its scratch
+// once from that bound — two allocations (candidates and cumulative
+// weights) for a sweep of many candidates, where growing by append would
+// take several.
+func TestSweepScratchGrowsOnce(t *testing.T) {
+	u := buildUrn(t, gen.BarabasiAlbert(120, 3, 13), 6, 17)
+	u.SetCacheBudgets(DefaultDecodePairBudget, 0)
+	var (
+		bigV   int32
+		bigKey treelet.Colored
+		bigN   int
+	)
+	for h := 2; h <= u.K; h++ {
+		for v := int32(0); int(v) < u.G.NumNodes(); v++ {
+			u.Tab.Rec(h, v).Each(func(key treelet.Colored, _ u128.Uint128) bool {
+				n := len(referenceSweep(u, v, key).cands)
+				if bound := u.sweepBound(v, key); n > bound {
+					t.Fatalf("sweep of %v at %d has %d candidates, bound %d", key, v, n, bound)
+				}
+				if n > bigN {
+					bigV, bigKey, bigN = v, key, n
+				}
+				return true
+			})
+		}
+	}
+	if bigN < 32 {
+		t.Fatalf("largest sweep has %d candidates: too few to tell one allocation from append growth", bigN)
+	}
+	c := u.Clone()
+	c.computeSweep(&sweepEntry{}, bigV, bigKey) // takes the clone's synthesis slots
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sw := c.sweepFor(sweepKey(bigV, bigKey), bigV, bigKey)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 2 || len(sw.cands) != bigN {
+		t.Fatalf("a fresh clone's %d-candidate miss made %d allocations, want 2", len(sw.cands), allocs)
 	}
 }

@@ -49,9 +49,9 @@
 //   - scratch buffers (sampled nodes, neighbor buffers) are reused across
 //     draws instead of allocated per draw.
 //
-// Both caches are one type (memo, in clone.go): shared by every clone,
-// budgeted, and read without a lock once the put that spends the budget
-// has frozen them.
+// Both caches are one type (internal/memo, which the build's record cache
+// also uses): shared by every clone, budgeted, and read without a lock
+// once the put that spends the budget has frozen them.
 //
 // All of these are invisible to results: cached values are bit-identical
 // to what recomputation would produce and RNG consumption per draw is
@@ -71,6 +71,7 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/graph"
 	"repro/internal/graphlet"
+	"repro/internal/memo"
 	"repro/internal/table"
 	"repro/internal/treelet"
 	"repro/internal/u128"
@@ -117,9 +118,9 @@ type Urn struct {
 	// so they are concurrency-safe and shared across clones: a root record
 	// is decoded, a sweep computed and a raw code canonicalized once per
 	// urn lifetime, not once per clone or per query.
-	decode *memo[table.Decoded] // size-k root records, keyed by node
-	sweeps *memo[sweepEntry]    // keyed by sweepKey
-	canon  *canonTable          // nil for k > denseCanonK; canonMemo serves those
+	decode *memo.Memo[table.Decoded] // size-k root records, keyed by node
+	sweeps *memo.Memo[sweepEntry]    // keyed by sweepKey
+	canon  *canonTable               // nil for k > denseCanonK; canonMemo serves those
 
 	canonMemo map[uint64]uint64 // per-clone raw → canonical code, k > denseCanonK
 	nodesBuf  []int32           // sampled-copy scratch, reused across draws
@@ -212,8 +213,8 @@ func NewUrn(g *graph.Graph, col *coloring.Coloring, tab *table.Table, cat *treel
 		BufferThreshold: 10000,
 		BufferSize:      100,
 		synthCache:      table.NewSynthCache(),
-		decode:          newMemo[table.Decoded](DefaultDecodePairBudget),
-		sweeps:          newMemo[sweepEntry](DefaultSweepCandBudget),
+		decode:          memo.New[table.Decoded](DefaultDecodePairBudget),
+		sweeps:          memo.New[sweepEntry](DefaultSweepCandBudget),
 		canon:           newCanonTable(k),
 	}
 	n := g.NumNodes()
@@ -298,21 +299,21 @@ func (u *Urn) view(h int, v int32) table.View {
 // before cloning; existing clones keep the old caches. The canonical-form
 // table is not a budgeted cache and stays shared.
 func (u *Urn) SetCacheBudgets(decodePairs, sweepCands int) {
-	u.decode = newMemo[table.Decoded](decodePairs)
-	u.sweeps = newMemo[sweepEntry](sweepCands)
+	u.decode = memo.New[table.Decoded](decodePairs)
+	u.sweeps = memo.New[sweepEntry](sweepCands)
 }
 
 // rootRec returns the decoded size-k record of root v when the decode
 // cache holds or admits it, nil otherwise (caller falls back to the packed
 // view). A hit builds no View.
 func (u *Urn) rootRec(v int32) *table.Decoded {
-	d, admits := u.decode.get(uint64(v))
+	d, admits := u.decode.Get(uint64(v))
 	if d != nil || !admits {
 		return d
 	}
 	d = new(table.Decoded)
 	u.view(u.K, v).Decode(d)
-	return u.decode.put(uint64(v), d, d.Len())
+	return u.decode.Put(uint64(v), d, d.Len())
 }
 
 // Sample draws one uniform colorful k-treelet copy and returns the
@@ -481,17 +482,25 @@ func (sw *sweepEntry) pick(rng *rand.Rand) childChoice {
 // is computed into the clone's scratch entry, valid until the next such
 // miss — chooseChild draws from it before it returns.
 func (u *Urn) sweepFor(key uint64, v int32, tc treelet.Colored) *sweepEntry {
-	sw, admits := u.sweeps.get(key)
+	sw, admits := u.sweeps.Get(key)
 	if sw != nil {
 		return sw
 	}
 	if !admits {
+		// Size the scratch for this sweep before it appends: a miss grows
+		// it at most once, to its bound and at least twice its capacity,
+		// instead of doubling up from a fresh clone's empty scratch.
+		if n := u.sweepBound(v, tc); cap(u.scratch.cands) < n {
+			n = max(n, 2*cap(u.scratch.cands))
+			u.scratch.cands = make([]sweepCand, 0, n)
+			u.scratch.cum = make([]float64, 0, n)
+		}
 		u.computeSweep(&u.scratch, v, tc)
 		return &u.scratch
 	}
 	sw = new(sweepEntry)
 	u.computeSweep(sw, v, tc)
-	return u.sweeps.put(key, sw, len(sw.cands))
+	return u.sweeps.Put(key, sw, len(sw.cands))
 }
 
 // computeSweep performs one neighbor sweep into sw, reusing its arrays:
@@ -531,6 +540,26 @@ func (u *Urn) computeSweep(sw *sweepEntry, v int32, tc treelet.Colored) {
 			u.view(hpp, w).ShapeEach(tpp, within, each)
 		}
 	}
+}
+
+// sweepBound bounds the candidates of tc's sweep at v: every neighbor
+// whose color lies in C∖{col(v)} offers at most one candidate per coloring
+// of the first child that holds its color and takes the rest from that set.
+func (u *Urn) sweepBound(v int32, tc treelet.Colored) int {
+	within := tc.Colors() &^ treelet.Singleton(u.Col.Colors[v])
+	nbrs := 0
+	for _, w := range u.G.Neighbors(v) {
+		if within.Has(u.Col.Colors[w]) {
+			nbrs++
+		}
+	}
+	// C(|within|-1, |T''|-1) colorings per neighbor.
+	n, r := within.Card()-1, u.Cat.FirstChild(tc.Tree()).Size()-1
+	per := 1
+	for i := range r {
+		per = per * (n - i) / (i + 1)
+	}
+	return nbrs * per
 }
 
 // searchFloat returns the first index with cum[i] > r (clamped to the last

@@ -31,6 +31,11 @@ package table
 // SampleShape) — computes only the sums its partitions use, each with one
 // sweep over v's neighbors on first use, and keeps them in the slot, so a
 // node read at several sizes or shapes in a row computes each sum once.
+// The build pool also shares a SumStore (sumstore.go), which computes all
+// the sums of its highest-degree nodes once per build; a cache made from
+// it reads those nodes there and takes no slot for them, and fills its
+// slots for the other nodes the same way, all sums in one sweep, because
+// the build reads whole records.
 // ShapeEach also takes the color set its entries must lie in and walks only
 // the colorings inside it, so a sampling sweep never synthesizes an entry
 // it would drop.
@@ -253,26 +258,31 @@ const synthSlots = 2
 // the (immutable) colored-degree summaries, so they never go stale; the
 // cache exists because the build DP reads a node's records at several
 // sizes in a row, and a sampling sweep counts at the same node for every
-// candidate it checks. A cache must not be shared across goroutines —
-// each build worker and each Urn owns one, mirroring how the urn's
-// neighbor buffers are goroutine-local. Reading another table through it
-// drops what it held. A nil cache is valid: every sum is then computed on
-// demand and not kept.
+// candidate it checks. A cache made by SumStore.NewCache reads the nodes
+// the store admits from the store, which the pool of build workers shares,
+// and keeps only the other nodes in its slots. Such a cache fills a slot
+// the way the store fills a node, every sum at once in one sweep: the
+// build reads whole records, for which that costs less than one sweep per
+// sum read. The cache itself is goroutine-local — each build worker and
+// each Urn owns one, mirroring how the urn's neighbor buffers are
+// goroutine-local. Reading another table through it drops what it held.
+// A nil cache is valid: every sum is then computed on demand and not kept.
 type SynthCache struct {
 	s     *smartState // the state the slots were filled from
-	tick  uint64
 	slots [synthSlots]synthSlot
+	store *SumStore // shared sums of admitted nodes; nil reads none
 }
 
 // synthSlot holds the neighbor sums of one node: w[S] is valid when bit S
 // of known is set. Sums over a single color are never stored: they are the
 // node's own colored degrees.
 type synthSlot struct {
-	v     int32
-	pins  int    // walks in progress over this slot; a pinned slot is never reassigned
-	used  uint64 // tick of the last acquire, for least-recently-used reuse
-	w     []u128.Uint128
-	known []uint64
+	v      int32
+	filled bool   // w holds every sum, indexed by squeeze (caches over a store)
+	pins   int    // walks in progress over this slot; a pinned slot is never reassigned
+	used   uint64 // tick of the last acquire, for least-recently-used reuse
+	w      []u128.Uint128
+	known  []uint64
 }
 
 // NewSynthCache returns an empty cache. Its slots are allocated on first
@@ -298,13 +308,17 @@ func (c *SynthCache) acquire(s *smartState, v int32) *synthSlot {
 			c.slots[i].v = -1
 		}
 	}
-	c.tick++
+	// The acquire's tick is one past the newest slot's.
+	var tick uint64
+	for i := range c.slots {
+		tick = max(tick, c.slots[i].used+1)
+	}
 	var victim *synthSlot
 	for i := range c.slots {
 		sl := &c.slots[i]
 		if sl.v == v {
 			sl.pins++
-			sl.used = c.tick
+			sl.used = tick
 			return sl
 		}
 		if sl.pins == 0 && (victim == nil || sl.used < victim.used) {
@@ -320,20 +334,22 @@ func (c *SynthCache) acquire(s *smartState, v int32) *synthSlot {
 	} else {
 		clear(victim.known)
 	}
-	victim.v, victim.pins, victim.used = v, 1, c.tick
+	victim.v, victim.pins, victim.used, victim.filled = v, 1, tick, false
 	return victim
 }
 
 // --- the closed-form counts -------------------------------------------------
 
 // nodeSynth evaluates synthesized counts at one node v: its color, its
-// colored degrees, and the slot holding its neighbor sums (nil when the
-// sums are not kept).
+// colored degrees, and where its neighbor sums come from — the store's
+// complete array, or else the slot keeping them as they are computed (nil
+// when the sums are not kept).
 type nodeSynth struct {
 	s    *smartState
 	v    int32
 	own  treelet.ColorSet
 	row  []uint32 // d_c(v) per color c
+	sums []u128.Uint128
 	slot *synthSlot
 }
 
@@ -349,9 +365,36 @@ func (s *smartState) node(v int32, c *SynthCache, part int) nodeSynth {
 		row: s.deg[int(v)*s.k : int(v)*s.k+s.k],
 	}
 	if part >= 2 {
-		n.slot = c.acquire(s, v)
+		if n.sums = c.stored(s, v); n.sums == nil {
+			n.slot = c.acquire(s, v)
+			if n.slot != nil && c.store != nil {
+				n.sums = n.slot.fill(s, v)
+			}
+		}
 	}
 	return n
+}
+
+// fill makes the slot hold every neighbor sum of v, indexed by squeeze as
+// the store's are, computing them with one sweep on first use, and returns
+// them.
+func (sl *synthSlot) fill(s *smartState, v int32) []u128.Uint128 {
+	w := sl.w[:1<<(s.k-1)]
+	if !sl.filled {
+		clear(w)
+		s.fillSums(v, w)
+		sl.filled = true
+	}
+	return w
+}
+
+// stored returns v's sums from the cache's store, or nil when the cache
+// has no store or the store does not admit v.
+func (c *SynthCache) stored(s *smartState, v int32) []u128.Uint128 {
+	if c == nil || c.store == nil {
+		return nil
+	}
+	return c.store.lookup(s, v)
 }
 
 // release unpins the node's slot.
@@ -387,10 +430,14 @@ func (s *smartState) neighborSum(v int32, cs treelet.ColorSet) u128.Uint128 {
 }
 
 // term returns w_v(cs) for |cs| ≥ 1: v's colored degree for a single
-// color, else the slot's sum, computed on demand and kept when missing.
+// color, else the store's sum, or the slot's, computed on demand and kept
+// when missing.
 func (n *nodeSynth) term(cs treelet.ColorSet) u128.Uint128 {
 	if cs&(cs-1) == 0 {
 		return u128.From64(uint64(n.row[bits.TrailingZeros16(uint16(cs))]))
+	}
+	if n.sums != nil {
+		return n.sums[squeeze(cs, n.own)]
 	}
 	sl := n.slot
 	if sl == nil {

@@ -165,7 +165,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatalf("spill size %d, want %d", ds.Size(), len(enc0)+len(enc3))
 	}
 	arena := make([]byte, ds.Size())
-	if err := ds.CopyInto(arena); err != nil {
+	if err := ds.ReadAt(arena, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Nodes 0 and 3 were flushed in order; 1, 2 and 4 are empty.
@@ -189,9 +189,10 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskStoreCopyIntoAllocs: the merge reads each spill file straight
-// into its slice of the level arena, with no read buffer of its own.
-func TestDiskStoreCopyIntoAllocs(t *testing.T) {
+// TestDiskStoreReadAtAllocs: the merge reads each shard's byte range of a
+// spill file straight into its slice of the level arena, with no read
+// buffer of its own; a range past the flushed bytes is an error.
+func TestDiskStoreReadAtAllocs(t *testing.T) {
 	ds, err := NewDiskStoreBuffered(t.TempDir(), 1<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -200,19 +201,24 @@ func TestDiskStoreCopyIntoAllocs(t *testing.T) {
 	var p Pairs
 	p.FromMap(sampleMap())
 	enc := AppendRecord(nil, &p)
-	if err := ds.Flush(enc); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := ds.Flush(enc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	dst := make([]byte, ds.Size())
+	dst := make([]byte, len(enc))
 	if allocs := testing.AllocsPerRun(20, func() {
-		if err := ds.CopyInto(dst); err != nil {
+		if err := ds.ReadAt(dst, int64(len(enc))); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("CopyInto allocates %.1f times per call, want 0", allocs)
+		t.Errorf("ReadAt allocates %.1f times per call, want 0", allocs)
 	}
 	if !bytes.Equal(dst, enc) {
-		t.Error("CopyInto read back different bytes")
+		t.Error("ReadAt read back different bytes")
+	}
+	if err := ds.ReadAt(dst, int64(len(enc))+1); err == nil {
+		t.Error("a range past the flushed bytes read without error")
 	}
 }
 
