@@ -32,6 +32,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // Benchmark is one `Benchmark...` result line.
@@ -142,18 +144,15 @@ func run(out string, paths []string) error {
 		return fmt.Errorf("no benchmark result lines found in input")
 	}
 	doc.Created = time.Now().UTC().Format(time.RFC3339)
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	write := func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	if out == "" {
+		return write(os.Stdout)
+	}
+	return atomicfile.Write(out, write)
 }
 
 func main() {

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,6 +51,40 @@ func TestParse(t *testing.T) {
 	}
 	if doc.Benchmarks[1].Metrics["samples/s"] == doc.Benchmarks[2].Metrics["samples/s"] {
 		t.Error("repeated runs collapsed")
+	}
+}
+
+// TestRunReplacesOutput: -o replaces the file whole, so a reader that
+// opened the old file keeps reading the old bytes, and the path then holds
+// the new document.
+func TestRunReplacesOutput(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "bench.txt"), filepath.Join(dir, "BENCH_ci.json")
+	stale := []byte(strings.Repeat("stale ", 1000))
+	if err := os.WriteFile(in, []byte(sample), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(out, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := run(out, []string{in}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := io.ReadAll(old); err != nil || !bytes.Equal(b, stale) {
+		t.Fatalf("the old file changed under its reader (%d bytes, err %v)", len(b), err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc Doc
+	if err := json.Unmarshal(b, &doc); err != nil || len(doc.Benchmarks) != 3 {
+		t.Fatalf("output is not the new document (%d benchmarks): %v", len(doc.Benchmarks), err)
 	}
 }
 

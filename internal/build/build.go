@@ -18,6 +18,13 @@
 // the optimization Figure 2 of the paper measures against CC's
 // pointer-based treelets.
 //
+// Nothing on that path hashes a treelet. The catalog answers first child,
+// height and β_T by array index (treelet.Catalog), and the products of a
+// node accumulate in a dense per-worker array with one slot per size-h
+// colored treelet, at ID(T)·C(k,h) + rank(C) (dense.go). Slot order is the
+// record's key order, so a node's record is emitted by walking the
+// touched slots, with no sort.
+//
 // Performance machinery implemented here, matching the paper:
 //
 //   - a vertex-sharded worker pool: nodes of a level are processed
@@ -217,6 +224,7 @@ func newBuilder(g *graph.Graph, col *coloring.Coloring, k int, cat *treelet.Cata
 		g: g, col: col, k: k, cat: cat, opts: opts,
 		tab:   table.New(g.NumNodes(), k, opts.ZeroRooted),
 		stats: &Stats{LevelTime: make([]time.Duration, k+1)},
+		ranks: newColorRanks(k),
 	}
 	if opts.toDisk() {
 		// Spill files open on a worker's first record, so a build whose
@@ -282,6 +290,8 @@ type builder struct {
 	// Both hold pure functions of completed levels, which never change.
 	recs *memo.Memo[table.Pairs]
 	sums *table.SumStore
+
+	ranks colorRanks // the dense accumulators' color-set numbering
 }
 
 // topLevelSkip reports whether node v is excluded from the size-h pass
@@ -409,18 +419,21 @@ func (o Options) cacheBytes() int64 {
 	return maxCacheBytes
 }
 
-// worker is the per-goroutine state of one level pass: the accumulation
-// map, the decode targets of reads the record cache will not keep (one for
-// v's own records, one for its neighbors', which are read while v's is in
+// worker is the per-goroutine state of one level pass: the dense
+// accumulator of the size-h products (and, made on the first
+// neighbor-buffered node, one per size for the neighborhood aggregates),
+// the decode targets of reads the record cache will not keep (one for v's
+// own records, one for its neighbors', which are read while v's is in
 // use), the spill file of the shards it runs, and local stat counters
 // (merged once at the end, so the hot loop is contention-free).
 type worker struct {
-	b   *builder
-	h   int
-	acc map[treelet.Colored]u128.Uint128
+	b    *builder
+	h    int
+	acc  *dense   // size-h products, flushed with the β_T division
+	aggs []*dense // aggs[hpp]: neighbor sums of size hpp (neighbor buffering)
 
 	vRec, uRec table.Pairs       // decoded records the cache did not keep
-	outBuf     table.Pairs       // sorted result of the accumulation map
+	outBuf     table.Pairs       // the flushed record of the current node
 	aggBuf     table.Pairs       // neighbor-buffered aggregate record
 	enc        []byte            // packed encoding handed to the sink
 	cache      *table.SynthCache // smart-star neighbor sums (nil when materialized)
@@ -430,7 +443,7 @@ type worker struct {
 }
 
 func newWorker(b *builder, h int) *worker {
-	w := &worker{b: b, h: h, acc: make(map[treelet.Colored]u128.Uint128)}
+	w := &worker{b: b, h: h, acc: newDense(b, h, true)}
 	if b.opts.SmartStars {
 		// Smart inputs are synthesized on read: the store serves the sums
 		// of the nodes it admits, and the worker's cache computes another
@@ -470,7 +483,6 @@ func (w *worker) pairs(h int, v int32, scratch *table.Pairs) *table.Pairs {
 // scratch, valid until the next call).
 func (w *worker) vertexRecord(v int32) *table.Pairs {
 	b := w.b
-	clear(w.acc)
 	deg := b.g.Degree(v)
 	useBuffer := deg >= b.opts.bufferThreshold()
 	if useBuffer {
@@ -501,44 +513,38 @@ func (w *worker) vertexRecord(v int32) *table.Pairs {
 			w.combine(ru, rv)
 		}
 	}
-	w.outBuf.Reset()
-	if len(w.acc) == 0 {
-		return &w.outBuf
-	}
-	// β_T correction: the recurrence generated each copy once per
-	// identical first child; the division is exact.
-	for key, c := range w.acc {
-		if beta := b.cat.Beta(key.Tree()); beta > 1 {
-			q, _ := c.QuoRem64(uint64(beta))
-			w.acc[key] = q
-		}
-	}
-	w.outBuf.FromMap(w.acc)
+	w.acc.flush(&w.outBuf)
 	return &w.outBuf
 }
 
 // aggregateNeighbors sums the size-hpp records of v's neighbors into
 // w.aggBuf as one sorted pair list.
 func (w *worker) aggregateNeighbors(v int32, hpp int) {
-	b := w.b
-	agg := make(map[treelet.Colored]u128.Uint128)
-	for _, u := range b.g.Neighbors(v) {
-		ru := w.pairs(hpp, u, &w.uRec)
-		for i := 0; i < ru.Len(); i++ {
-			agg[ru.Keys[i]] = agg[ru.Keys[i]].Add(ru.Counts[i])
-			w.ops++
-		}
+	if w.aggs == nil {
+		w.aggs = make([]*dense, w.h)
 	}
-	w.aggBuf.Reset()
-	w.aggBuf.FromMap(agg)
+	agg := w.aggs[hpp]
+	if agg == nil {
+		agg = newDense(w.b, hpp, false)
+		w.aggs[hpp] = agg
+	}
+	for _, u := range w.b.g.Neighbors(v) {
+		ru := w.pairs(hpp, u, &w.uRec)
+		for i, key := range ru.Keys {
+			agg.add(agg.base(key.Tree())+int(w.b.ranks.rank[key.Colors()]), ru.Counts[i])
+		}
+		w.ops += int64(ru.Len())
+	}
+	agg.flush(&w.aggBuf)
 }
 
 // combine walks the shape runs of ru (first-child side T”) and rv
 // (remainder side T'), performs one succinct check-and-merge per run pair,
-// and accumulates the color-disjoint products into the map. Pair keys
-// sort by (treelet, colorset), so each shape's colorings are contiguous.
+// and accumulates the color-disjoint products into the dense accumulator.
+// Pair keys sort by (treelet, colorset), so each shape's colorings are
+// contiguous.
 func (w *worker) combine(ru, rv *table.Pairs) {
-	cat := w.b.cat
+	cat, acc, rank := w.b.cat, w.acc, w.b.ranks.rank
 	smart := w.b.opts.SmartStars
 	i := 0
 	for i < ru.Len() {
@@ -570,7 +576,7 @@ func (w *worker) combine(ru, rv *table.Pairs) {
 			// One integer comparison on succinct codes (vs CC's recursive
 			// pointer walk).
 			if tp == treelet.Leaf || tpp <= cat.FirstChild(tp) {
-				merged := treelet.Merge(tp, tpp)
+				base := acc.base(treelet.Merge(tp, tpp))
 				for a := i; a < iEnd; a++ {
 					cs := ru.Keys[a].Colors()
 					cu := ru.Counts[a]
@@ -579,8 +585,7 @@ func (w *worker) combine(ru, rv *table.Pairs) {
 						if !cp.Disjoint(cs) {
 							continue
 						}
-						key := treelet.MakeColored(merged, cp|cs)
-						w.acc[key] = w.acc[key].Add(rv.Counts[bi].Mul(cu))
+						acc.add(base+int(rank[cp|cs]), rv.Counts[bi].Mul(cu))
 					}
 				}
 			}

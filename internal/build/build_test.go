@@ -250,7 +250,8 @@ func TestZeroRootingCountsEachCopyOnce(t *testing.T) {
 
 // TestParallelMatchesSequential: Workers:4 and Workers:1 must produce
 // byte-identical tables (the per-vertex recurrence is deterministic and
-// FromMap sorts, so scheduling cannot leak into the result).
+// each record is flushed in key order, so scheduling cannot leak into the
+// result).
 func TestParallelMatchesSequential(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 11)
 	k := 5

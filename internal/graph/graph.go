@@ -58,14 +58,14 @@ func (g *Graph) Neighbors(v Node) []Node {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
-// HasEdge reports whether {u, v} is an edge, in O(log min(δ(u), δ(v))).
+// HasEdge reports whether {u, v} is an edge, in O(log min(δ(u), δ(v))):
+// it bisects the shorter adjacency list.
 func (g *Graph) HasEdge(u, v Node) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	ns := g.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
+	_, found := slices.BinarySearch(g.Neighbors(u), v)
+	return found
 }
 
 // Edge is an undirected edge; Build normalizes, deduplicates and drops

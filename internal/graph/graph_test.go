@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -25,11 +26,45 @@ func TestBuildBasics(t *testing.T) {
 			t.Errorf("deg(%d)=%d, want 2", v, g.Degree(v))
 		}
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
-		t.Error("edge 0-1 missing")
+}
+
+// TestHasEdgeAllPairs: HasEdge agrees with an adjacency set on every
+// ordered pair of a 4-cycle, of a 32-leaf star and of a small
+// preferential-attachment graph, with either endpoint first.
+func TestHasEdgeAllPairs(t *testing.T) {
+	cycle := []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
+	var star []Edge
+	for v := Node(1); v <= 32; v++ {
+		star = append(star, Edge{0, v})
 	}
-	if g.HasEdge(0, 2) {
-		t.Error("phantom edge 0-2")
+	// Preferential attachment: each new node links to 3 endpoints drawn
+	// from the edge list, so early nodes collect long lists.
+	rng := rand.New(rand.NewSource(5))
+	ba := []Edge{{0, 1}, {1, 2}, {0, 2}}
+	for v := Node(3); v < 120; v++ {
+		n := len(ba)
+		for range 3 {
+			e := ba[rng.Intn(n)]
+			ba = append(ba, Edge{v, [2]Node{e.U, e.V}[rng.Intn(2)]})
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{{"cycle", 4, cycle}, {"star", 33, star}, {"ba", 120, ba}} {
+		g := mustBuild(t, tc.n, tc.edges)
+		adj := make(map[Edge]bool)
+		for _, e := range tc.edges {
+			adj[e], adj[Edge{e.V, e.U}] = true, true
+		}
+		for u := Node(0); int(u) < tc.n; u++ {
+			for v := Node(0); int(v) < tc.n; v++ {
+				if got, want := g.HasEdge(u, v), adj[Edge{u, v}] && u != v; got != want {
+					t.Fatalf("%s: HasEdge(%d, %d) = %v, want %v", tc.name, u, v, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 // canonicalizes with the Nauty library; we substitute a degree-refined
 // backtracking canonical labeling, exact for all k ≤ MaxK and fast because
 // real graphlets rarely have large automorphism-compatible vertex classes
-// (and the sampler memoizes canonical forms of repeated raw codes).
+// (and CanonTable names each class once per process for k ≤ 6).
 package graphlet
 
 import (

@@ -3,8 +3,8 @@ package sample
 // Clones and the state they share. Everything a draw writes lives on the
 // Urn clone; what clones share is either immutable (graph, table, alias
 // tables, shape urns) or a concurrency-safe cache of pure functions of the
-// table: the canonical-form table and two memos, one of decoded root
-// records and one of sweeps.
+// table: two memos, one of decoded root records and one of sweeps. The
+// canonical-form table is the process's, shared by every urn.
 
 import "repro/internal/table"
 

@@ -14,7 +14,7 @@ import (
 
 // Draws name their graphlet from the walk: the tree edges sampleCopy walks
 // set their raw-code bits, only the other pairs are tested for adjacency,
-// and the raw code is canonicalized through the urn's shared dense table
+// and the raw code is canonicalized through the process's dense table
 // (k ≤ 6) or the clone's own memo (k ≥ 7). These tests hold that path to
 // the from-scratch reference, Urn.Induced.
 
@@ -61,7 +61,7 @@ func TestWalkCodeMatchesInduced(t *testing.T) {
 						su.SampleBatch(urn, rng, 20, check)
 					}
 				}
-				if dense := k <= denseCanonK; (urn.canon != nil) != dense || (len(urn.canonMemo) > 0) == dense {
+				if dense := k <= graphlet.DenseCanonK; (urn.canon != nil) != dense || (len(urn.canonMemo) > 0) == dense {
 					t.Fatalf("k=%d: dense table %v, per-clone memo %d entries", k, urn.canon != nil, len(urn.canonMemo))
 				}
 			}
@@ -72,49 +72,14 @@ func TestWalkCodeMatchesInduced(t *testing.T) {
 	}
 }
 
-// TestCanonTableExhaustive: at k = 3..6 the dense table answers
-// graphlet.Canonical for every raw code, both when it computes a slot and
-// when it serves the stored one.
-func TestCanonTableExhaustive(t *testing.T) {
-	for k := 3; k <= denseCanonK; k++ {
-		tab := newCanonTable(k)
-		if want := 1 << (k * (k - 1) / 2); len(tab.slots) != want {
-			t.Fatalf("k=%d: %d slots, want %d", k, len(tab.slots), want)
-		}
-		for raw := range uint64(len(tab.slots)) {
-			want := graphlet.Canonical(k, graphlet.Code{Lo: raw})
-			if got := tab.of(raw); got != want {
-				t.Fatalf("k=%d raw %#x: computed %v, want %v", k, raw, got, want)
-			}
-			if got := tab.of(raw); got != want {
-				t.Fatalf("k=%d raw %#x: stored %v, want %v", k, raw, got, want)
-			}
-		}
-	}
-	if newCanonTable(denseCanonK+1) != nil {
-		t.Fatalf("k=%d must not get a dense table", denseCanonK+1)
-	}
-}
-
-// TestSharedCanonTableConcurrentClones: clones of one fresh urn fill the
-// shared canonical table concurrently (run under -race), and each clone's
-// sequence equals a sequential clone's at the same seed.
+// TestSharedCanonTableConcurrentClones: clones of a fresh urn draw
+// concurrently, filling whatever of the process's canonical table earlier
+// tests left empty (run under -race), and each clone's sequence equals a
+// sequential clone's of a second urn at the same seed; both urns name
+// their graphlets through the one process table.
 func TestSharedCanonTableConcurrentClones(t *testing.T) {
-	ref := buildUrn(t, gen.BarabasiAlbert(120, 3, 13), 6, 17)
+	shared := buildUrn(t, gen.BarabasiAlbert(120, 3, 13), 6, 17)
 	const clones, draws = 8, 400
-	want := make([][]draw, clones)
-	for i := range want {
-		c := ref.Clone()
-		rng := rand.New(rand.NewSource(int64(1000 + i)))
-		for range draws {
-			want[i] = append(want[i], record(c.Sample(rng)))
-		}
-	}
-
-	shared, err := NewUrn(ref.G, ref.Col, ref.Tab, ref.Cat)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make([][]draw, clones)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -129,19 +94,24 @@ func TestSharedCanonTableConcurrentClones(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
+
+	ref, err := NewUrn(shared.G, shared.Col, shared.Tab, shared.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		c := ref.Clone()
+		rng := rand.New(rand.NewSource(int64(1000 + i)))
+		var want []draw
+		for range draws {
+			want = append(want, record(c.Sample(rng)))
+		}
+		if !reflect.DeepEqual(want, got[i]) {
 			t.Fatalf("clone %d: concurrent sequence differs from the sequential one", i)
 		}
 	}
-	filled := 0
-	for i := range shared.canon.slots {
-		if shared.canon.slots[i].Load() != 0 {
-			filled++
-		}
-	}
-	if filled == 0 {
-		t.Fatal("no canonical form reached the shared table")
+	if shared.canon == nil || shared.canon != ref.canon || shared.canon != graphlet.SharedCanonTable(6) {
+		t.Fatal("the two urns do not share the process's canonical table")
 	}
 }
 
@@ -180,8 +150,8 @@ func TestWarmDrawsDoNotAllocate(t *testing.T) {
 					shapes = append(shapes, su)
 				}
 			}
-			for raw := range u.canon.slots { // raw codes keep turning up long after the records warm
-				u.canon.of(uint64(raw))
+			for raw := range uint64(1 << 15) { // raw 6-node codes keep turning up long after the records warm
+				u.canon.Of(raw)
 			}
 			rng := rand.New(rand.NewSource(43))
 			sink := func(graphlet.Code, []int32) bool { return true }

@@ -44,8 +44,9 @@
 //   - the graphlet is named from the walk: the k−1 tree edges sampleCopy
 //     walks set their raw-code bits directly, only the other pairs are
 //     tested for adjacency, and the raw code is canonicalized through one
-//     table shared by every clone (a dense, lazily filled array over all
-//     raw codes for k ≤ 6; a per-clone map for larger k);
+//     table shared by every urn of the process (graphlet.CanonTable, a
+//     dense array over all raw codes for k ≤ 6, filled a graphlet class at
+//     a time); larger k use a per-clone map;
 //   - scratch buffers (sampled nodes, neighbor buffers) are reused across
 //     draws instead of allocated per draw.
 //
@@ -65,7 +66,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/alias"
 	"repro/internal/coloring"
@@ -116,13 +116,14 @@ type Urn struct {
 
 	// The amortization caches hold pure functions of the immutable table,
 	// so they are concurrency-safe and shared across clones: a root record
-	// is decoded, a sweep computed and a raw code canonicalized once per
-	// urn lifetime, not once per clone or per query.
+	// is decoded and a sweep computed once per urn lifetime, not once per
+	// clone or per query. Canonical forms depend on k alone, so for
+	// k ≤ graphlet.DenseCanonK they are named once per process.
 	decode *memo.Memo[table.Decoded] // size-k root records, keyed by node
 	sweeps *memo.Memo[sweepEntry]    // keyed by sweepKey
-	canon  *canonTable               // nil for k > denseCanonK; canonMemo serves those
+	canon  *graphlet.CanonTable      // the process's table; nil for k > graphlet.DenseCanonK
 
-	canonMemo map[uint64]uint64 // per-clone raw → canonical code, k > denseCanonK
+	canonMemo map[uint64]uint64 // per-clone raw → canonical code, k > graphlet.DenseCanonK
 	nodesBuf  []int32           // sampled-copy scratch, reused across draws
 	treeBits  uint64            // raw-code bits of the tree edges the draw walked
 
@@ -162,41 +163,6 @@ type sweepEntry struct {
 	total float64
 }
 
-// denseCanonK is the largest k whose raw codes get a dense canonical
-// table: 2^(k(k-1)/2) slots of 4 bytes is 128 KiB at k=6 and 8 MiB at k=7.
-const denseCanonK = 6
-
-// canonFilled marks a computed canonTable slot; canonical codes of
-// k ≤ denseCanonK fit in the low 15 bits, so 0 can mean "not yet computed".
-const canonFilled = 1 << 31
-
-// canonTable is the engine-wide canonical-form memo for k ≤ denseCanonK:
-// one lazily filled slot per raw code. A canonical form is a pure function
-// of the raw code, so concurrent fills store the same value and the table
-// needs no lock.
-type canonTable struct {
-	k     int
-	slots []atomic.Uint32
-}
-
-func newCanonTable(k int) *canonTable {
-	if k > denseCanonK {
-		return nil
-	}
-	return &canonTable{k: k, slots: make([]atomic.Uint32, 1<<(k*(k-1)/2))}
-}
-
-// of returns the canonical form of raw, computing it on first use.
-func (t *canonTable) of(raw uint64) graphlet.Code {
-	slot := &t.slots[raw]
-	if c := slot.Load(); c != 0 {
-		return graphlet.Code{Lo: uint64(c &^ canonFilled)}
-	}
-	canon := graphlet.Canonical(t.k, graphlet.Code{Lo: raw})
-	slot.Store(uint32(canon.Lo) | canonFilled)
-	return canon
-}
-
 // NewUrn prepares the urn: the alias table over root nodes weighted by
 // occ(v) (built in O(n), Section 3.3) and the total treelet count t. The
 // per-node totals pass — the dominant open-time cost on smart tables,
@@ -215,7 +181,7 @@ func NewUrn(g *graph.Graph, col *coloring.Coloring, tab *table.Table, cat *treel
 		synthCache:      table.NewSynthCache(),
 		decode:          memo.New[table.Decoded](DefaultDecodePairBudget),
 		sweeps:          memo.New[sweepEntry](DefaultSweepCandBudget),
-		canon:           newCanonTable(k),
+		canon:           graphlet.SharedCanonTable(k),
 	}
 	n := g.NumNodes()
 	totals := make([]u128.Uint128, n)
@@ -413,11 +379,12 @@ func (u *Urn) inducedBits() uint64 {
 }
 
 // canonical returns the canonical form of a raw k-node code: from the
-// shared dense table for k ≤ denseCanonK, else from the clone's own memo,
-// which lives as long as the clone and holds at most one entry per draw.
+// process's dense table for k ≤ graphlet.DenseCanonK, else from the
+// clone's own memo, which lives as long as the clone and holds at most one
+// entry per draw.
 func (u *Urn) canonical(raw uint64) graphlet.Code {
 	if u.canon != nil {
-		return u.canon.of(raw)
+		return u.canon.Of(raw)
 	}
 	if c, ok := u.canonMemo[raw]; ok {
 		return graphlet.Code{Lo: c}

@@ -39,7 +39,7 @@ func FuzzPackedRecordRoundTrip(f *testing.F) {
 			data = data[20:]
 		}
 		var p Pairs
-		p.FromMap(m)
+		fillPairs(&p, m)
 		enc := AppendRecord(nil, &p)
 		if len(m) == 0 {
 			if len(enc) != 0 {

@@ -215,7 +215,7 @@ func TestSaveFileKeepsMappedTable(t *testing.T) {
 	// A larger, different table for the same path.
 	next := testTable(t)
 	var p Pairs
-	p.FromMap(map[treelet.Colored]u128.Uint128{
+	fillPairs(&p, map[treelet.Colored]u128.Uint128{
 		treelet.MakeColored(treelet.FromParents([]int{0, 0, 1}), 0b111): u128.From64(11),
 		treelet.MakeColored(treelet.FromParents([]int{0, 0, 0}), 0b111): {Hi: 1, Lo: 4},
 	})

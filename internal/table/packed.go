@@ -64,8 +64,9 @@ type Record struct {
 
 // Pairs is the decoded, slice-backed form of a record: sorted keys and
 // point counts. It is the build phase's scratch representation — workers
-// accumulate into maps, sort into Pairs, and encode straight into packed
-// form — and the reference the packed codec is tested against.
+// flush their dense accumulators into Pairs in key order and encode
+// straight into packed form — and the reference the packed codec is
+// tested against.
 type Pairs struct {
 	Keys   []treelet.Colored
 	Counts []u128.Uint128
@@ -84,22 +85,6 @@ func (p *Pairs) Reset() {
 func (p *Pairs) Append(k treelet.Colored, c u128.Uint128) {
 	p.Keys = append(p.Keys, k)
 	p.Counts = append(p.Counts, c)
-}
-
-// FromMap fills p with the sorted contents of a scratch accumulation map
-// (the "flush" of the greedy flushing strategy).
-func (p *Pairs) FromMap(m map[treelet.Colored]u128.Uint128) {
-	p.Reset()
-	for k := range m {
-		p.Keys = append(p.Keys, k)
-	}
-	sort.Slice(p.Keys, func(i, j int) bool { return p.Keys[i] < p.Keys[j] })
-	if cap(p.Counts) < len(p.Keys) {
-		p.Counts = make([]u128.Uint128, 0, len(p.Keys))
-	}
-	for _, k := range p.Keys {
-		p.Counts = append(p.Counts, m[k])
-	}
 }
 
 // AppendRecord encodes the sorted pairs as one packed record appended to
@@ -192,22 +177,6 @@ func ViewRecord(b []byte) (Record, error) {
 		data:  b[h+nblocks*indexEntrySize : end],
 		enc:   end,
 	}, nil
-}
-
-// FromMap packs a scratch accumulation map into a standalone Record —
-// convenience for tests and single-record callers; the build path encodes
-// straight into level arenas instead.
-func FromMap(m map[treelet.Colored]u128.Uint128) Record {
-	if len(m) == 0 {
-		return Record{}
-	}
-	var p Pairs
-	p.FromMap(m)
-	r, err := ViewRecord(AppendRecord(nil, &p))
-	if err != nil {
-		panic(err) // encode → view cannot fail on valid pairs
-	}
-	return r
 }
 
 // Len returns the number of (treelet, colorset) pairs stored.

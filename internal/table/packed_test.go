@@ -114,7 +114,7 @@ func randomPairs(rng *rand.Rand, n int, cat *treelet.Catalog) *Pairs {
 		m[treelet.MakeColored(t, cs)] = cnt
 	}
 	var p Pairs
-	p.FromMap(m)
+	fillPairs(&p, m)
 	return &p
 }
 

@@ -19,17 +19,17 @@ func testTable(t *testing.T) *Table {
 	t.Helper()
 	tab := New(4, 3, true)
 	var p Pairs
-	p.FromMap(map[treelet.Colored]u128.Uint128{
+	fillPairs(&p, map[treelet.Colored]u128.Uint128{
 		treelet.MakeColored(treelet.Leaf, 0b001): u128.One,
 	})
 	tab.SetRec(1, 0, &p)
 	edge := treelet.FromParents([]int{0, 0})
-	p.FromMap(map[treelet.Colored]u128.Uint128{
+	fillPairs(&p, map[treelet.Colored]u128.Uint128{
 		treelet.MakeColored(edge, 0b011): u128.From64(7),
 		treelet.MakeColored(edge, 0b101): {Hi: 3, Lo: 9},
 	})
 	tab.SetRec(2, 1, &p)
-	p.FromMap(map[treelet.Colored]u128.Uint128{
+	fillPairs(&p, map[treelet.Colored]u128.Uint128{
 		treelet.MakeColored(treelet.FromParents([]int{0, 0, 1}), 0b111): u128.From64(2),
 	})
 	tab.SetRec(3, 2, &p)

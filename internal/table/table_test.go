@@ -2,12 +2,36 @@ package table
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/treelet"
 	"repro/internal/u128"
 )
+
+// fillPairs fills p with the contents of m in key order.
+func fillPairs(p *Pairs, m map[treelet.Colored]u128.Uint128) {
+	p.Reset()
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		p.Append(k, m[k])
+	}
+}
+
+// recordOf packs the contents of m into a standalone Record.
+func recordOf(m map[treelet.Colored]u128.Uint128) Record {
+	if len(m) == 0 {
+		return Record{}
+	}
+	var p Pairs
+	fillPairs(&p, m)
+	r, err := ViewRecord(AppendRecord(nil, &p))
+	if err != nil {
+		panic(err) // encode → view cannot fail on valid pairs
+	}
+	return r
+}
 
 func sampleMap() map[treelet.Colored]u128.Uint128 {
 	edge := treelet.FromParents([]int{0, 0})
@@ -22,7 +46,7 @@ func sampleMap() map[treelet.Colored]u128.Uint128 {
 }
 
 func TestFromMapSortedCumulative(t *testing.T) {
-	r := FromMap(sampleMap())
+	r := recordOf(sampleMap())
 	if r.Len() != 4 {
 		t.Fatalf("len %d", r.Len())
 	}
@@ -53,7 +77,7 @@ func TestFromMapSortedCumulative(t *testing.T) {
 
 func TestCountLookup(t *testing.T) {
 	m := sampleMap()
-	r := FromMap(m)
+	r := recordOf(m)
 	for key, want := range m {
 		if got := r.Count(key); got != want {
 			t.Errorf("Count(%v) = %v, want %v", key, got, want)
@@ -70,8 +94,8 @@ func TestEmptyRecord(t *testing.T) {
 	if r.Len() != 0 || !r.Total().IsZero() {
 		t.Fatal("zero record should be empty")
 	}
-	if e := FromMap(nil); e.Len() != 0 {
-		t.Fatal("FromMap(nil) should be empty")
+	if e := recordOf(nil); e.Len() != 0 {
+		t.Fatal("recordOf(nil) should be empty")
 	}
 	if lo, hi := r.ShapeRange(treelet.FromParents([]int{0, 0})); lo != 0 || hi != 0 {
 		t.Fatal("empty record should have empty shape ranges")
@@ -79,7 +103,7 @@ func TestEmptyRecord(t *testing.T) {
 }
 
 func TestShapeRangeAndTotal(t *testing.T) {
-	r := FromMap(sampleMap())
+	r := recordOf(sampleMap())
 	edge := treelet.FromParents([]int{0, 0})
 	lo, hi := r.ShapeRange(edge)
 	if hi-lo != 2 {
@@ -101,7 +125,7 @@ func TestShapeRangeAndTotal(t *testing.T) {
 }
 
 func TestSampleProportional(t *testing.T) {
-	r := FromMap(sampleMap())
+	r := recordOf(sampleMap())
 	rng := rand.New(rand.NewSource(17))
 	counts := make(map[treelet.Colored]int)
 	const draws = 60000
@@ -119,7 +143,7 @@ func TestSampleProportional(t *testing.T) {
 }
 
 func TestSampleRangeRestricted(t *testing.T) {
-	r := FromMap(sampleMap())
+	r := recordOf(sampleMap())
 	edge := treelet.FromParents([]int{0, 0})
 	lo, hi := r.ShapeRange(edge)
 	rng := rand.New(rand.NewSource(23))
@@ -148,13 +172,13 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	}
 	defer ds.Close()
 	var p0 Pairs
-	p0.FromMap(sampleMap())
+	fillPairs(&p0, sampleMap())
 	enc0 := AppendRecord(nil, &p0)
 	if err := ds.Flush(enc0); err != nil {
 		t.Fatal(err)
 	}
 	var p3 Pairs
-	p3.FromMap(map[treelet.Colored]u128.Uint128{
+	fillPairs(&p3, map[treelet.Colored]u128.Uint128{
 		treelet.MakeColored(treelet.Leaf, 0b1): {Hi: 2, Lo: 3},
 	})
 	enc3 := AppendRecord(nil, &p3)
@@ -199,7 +223,7 @@ func TestDiskStoreReadAtAllocs(t *testing.T) {
 	}
 	defer ds.Close()
 	var p Pairs
-	p.FromMap(sampleMap())
+	fillPairs(&p, sampleMap())
 	enc := AppendRecord(nil, &p)
 	for range 2 {
 		if err := ds.Flush(enc); err != nil {
@@ -225,7 +249,7 @@ func TestDiskStoreReadAtAllocs(t *testing.T) {
 func TestTableAccounting(t *testing.T) {
 	tab := New(3, 2, true)
 	var p Pairs
-	p.FromMap(map[treelet.Colored]u128.Uint128{
+	fillPairs(&p, map[treelet.Colored]u128.Uint128{
 		treelet.MakeColored(treelet.FromParents([]int{0, 0}), 0b11): u128.From64(4),
 	})
 	tab.SetRec(2, 0, &p)

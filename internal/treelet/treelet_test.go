@@ -215,13 +215,30 @@ func TestRootingsPartitionSizeK(t *testing.T) {
 	}
 }
 
+// TestCatalogDecompCaches: at every k the indexed catalog answers what
+// the treelet's own methods compute, for every treelet of every size, and
+// NewCatalog hands out one catalog per k.
 func TestCatalogDecompCaches(t *testing.T) {
-	cat := NewCatalog(6)
-	for s := 2; s <= 6; s++ {
-		for _, tr := range cat.BySize[s] {
-			tpp, tp := tr.Decomp()
-			if cat.FirstChild(tr) != tpp || cat.Rest(tr) != tp || cat.Beta(tr) != tr.Beta() {
-				t.Fatalf("catalog cache mismatch for %v", tr)
+	for k := 1; k <= MaxK; k++ {
+		cat := NewCatalog(k)
+		if NewCatalog(k) != cat {
+			t.Fatalf("k=%d: a second NewCatalog built another catalog", k)
+		}
+		if want := 1 << (2 * (k - 1)); len(cat.index) != want {
+			t.Fatalf("k=%d: code table has %d slots, want %d", k, len(cat.index), want)
+		}
+		for s := 1; s <= k; s++ {
+			for id, tr := range cat.BySize[s] {
+				if cat.ID(tr) != id || cat.Height(tr) != tr.Height() {
+					t.Fatalf("k=%d: %v has id %d height %d, want %d and %d", k, tr, cat.ID(tr), cat.Height(tr), id, tr.Height())
+				}
+				if s == 1 {
+					continue
+				}
+				tpp, tp := tr.Decomp()
+				if cat.FirstChild(tr) != tpp || cat.Rest(tr) != tp || cat.Beta(tr) != tr.Beta() {
+					t.Fatalf("k=%d: catalog cache mismatch for %v", k, tr)
+				}
 			}
 		}
 	}
